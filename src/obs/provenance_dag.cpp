@@ -12,9 +12,9 @@
 // Late drop attribution. Network::Send finalizes an edge as scheduled before
 // anyone can know the receiver will be crashed at arrival time. The receiving
 // node's ingress hook (ResolveDelivery) pops the per-pair FIFO and, when the
-// node is offline, re-attributes that seq as an `offline` drop; Finish()
-// patches the column after restoring global order. Edges still pending at
-// Finish were in flight at cutoff and stay kNone with arrival > end_us.
+// node is offline, patches that row into an `offline` drop. Edges still
+// pending at Finish were in flight at cutoff and stay kNone with
+// arrival > end_us.
 #include "obs/provenance_dag.hpp"
 
 #include <algorithm>
@@ -24,7 +24,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <numeric>
 #include <utility>
 
 #include "obs/diag.hpp"
@@ -326,10 +325,7 @@ void InvariantChecker::OnDelivery(std::uint32_t to, bool node_online,
 // ProvenanceRecorder
 
 ProvenanceRecorder::ProvenanceRecorder(ProvenanceConfig config)
-    : config_(config), checker_impl_(config.fatal_invariants) {
-  if (config_.ring_capacity == 0) config_.ring_capacity = 1;
-  checker_.checker = &checker_impl_;
-}
+    : checker_(config.fatal_invariants) {}
 
 void ProvenanceRecorder::AttachMetrics(MetricsRegistry* metrics) {
   if (metrics == nullptr) return;
@@ -338,7 +334,7 @@ void ProvenanceRecorder::AttachMetrics(MetricsRegistry* metrics) {
     edge_count_[i] = metrics->GetCounter(
         LabeledName("provenance.edge", {{"kind", EdgeKindName(kind)}}));
   }
-  checker_impl_.AttachMetrics(metrics);
+  checker_.AttachMetrics(metrics);
 }
 
 void ProvenanceRecorder::RegisterHost(std::uint32_t host, std::uint8_t region) {
@@ -346,7 +342,6 @@ void ProvenanceRecorder::RegisterHost(std::uint32_t host, std::uint8_t region) {
     log_.host_region.resize(host + 1, kUnknownRegion);
   }
   log_.host_region[host] = region;
-  if (host >= rings_.size()) rings_.resize(host + 1);
   if (host >= hosts_.size()) hosts_.resize(host + 1);
 }
 
@@ -385,12 +380,11 @@ void ProvenanceRecorder::RecordOrigin(std::uint32_t host, const Hash32& hash,
   const std::uint64_t object = hash.prefix_u64();
   auto& first = objects_[object].first_seen;
   const bool already_seen = first.count(host) != 0;
-  checker_impl_.OnOrigin(host, object, already_seen);
+  checker_.OnOrigin(host, object, already_seen);
   if (!already_seen) first.emplace(host, FirstSeen{now_us, 0});
   Host(host).known_parents.insert(parent.prefix_u64());
 
   EdgeRecord record;
-  record.seq = next_seq_++;
   record.send_us = now_us;
   record.arrival_us = now_us;
   record.from = host;
@@ -402,7 +396,7 @@ void ProvenanceRecorder::RecordOrigin(std::uint32_t host, const Hash32& hash,
   record.hop = 0;
   record.kind = EdgeKind::kOrigin;
   record.drop = EdgeDrop::kNone;
-  AppendRecord(record);
+  log_.Append(record);
   if (Counter* c = edge_count_[static_cast<std::size_t>(EdgeKind::kOrigin)]) {
     c->Add();
   }
@@ -423,7 +417,6 @@ void ProvenanceRecorder::StageBlockEdge(std::uint32_t from, std::uint32_t to,
   const std::uint64_t object = hash.prefix_u64();
 
   staged_ = EdgeRecord{};
-  staged_.seq = next_seq_++;
   staged_.send_us = now_us;
   staged_.from = from;
   staged_.to = to;
@@ -454,9 +447,9 @@ void ProvenanceRecorder::StageBlockEdge(std::uint32_t from, std::uint32_t to,
   if (kind == EdgeKind::kGetBlock) {
     const bool parent_known =
         Host(from).known_parents.count(object) != 0;
-    checker_impl_.OnFetchStage(from, object, sender_seen, parent_known);
+    checker_.OnFetchStage(from, object, sender_seen, parent_known);
   } else {
-    checker_impl_.OnBlockRelayStage(kind, from, object, sender_seen, now_us,
+    checker_.OnBlockRelayStage(kind, from, object, sender_seen, now_us,
                                     seen_arrival);
   }
   staged_active_ = true;
@@ -470,7 +463,6 @@ void ProvenanceRecorder::StageTxEdge(std::uint32_t from, std::uint32_t to,
     staged_active_ = false;
   }
   staged_ = EdgeRecord{};
-  staged_.seq = next_seq_++;
   staged_.send_us = now_us;
   staged_.from = from;
   staged_.to = to;
@@ -491,7 +483,7 @@ void ProvenanceRecorder::CommitStaged(std::int64_t arrival_us, EdgeDrop drop) {
   if (Counter* c = edge_count_[static_cast<std::size_t>(staged_.kind)]) {
     c->Add();
   }
-  AppendRecord(staged_);
+  log_.Append(staged_);
 }
 
 void ProvenanceRecorder::FinalizeScheduled(std::uint32_t from,
@@ -514,8 +506,7 @@ void ProvenanceRecorder::FinalizeScheduled(std::uint32_t from,
       Host(to).known_parents.insert(staged_.parent);
     }
   }
-  pending_[PairKey(from, to)].push_back(
-      PendingDelivery{staged_.seq, staged_.kind});
+  pending_[PairKey(from, to)].push_back(PendingDelivery{log_.size()});
   CommitStaged(arrival_us, EdgeDrop::kNone);
 }
 
@@ -540,10 +531,11 @@ void ProvenanceRecorder::ResolveDelivery(std::uint32_t from, std::uint32_t to,
   it->second.pop_front();
   if (!online) {
     // The message reached a crashed node: re-attribute as an offline drop.
-    late_drops_.emplace_back(delivery.seq, EdgeDrop::kOffline);
+    log_.drop[delivery.row] = static_cast<std::uint8_t>(EdgeDrop::kOffline);
+    log_.arrival_us[delivery.row] = -1;
     return;
   }
-  checker_impl_.OnDelivery(to, online, Host(to).marked_down);
+  checker_.OnDelivery(to, online, Host(to).marked_down);
   (void)now_us;
 }
 
@@ -551,83 +543,9 @@ void ProvenanceRecorder::NoteHostOnline(std::uint32_t host, bool online) {
   Host(host).marked_down = !online;
 }
 
-void ProvenanceRecorder::AppendRecord(const EdgeRecord& record) {
-  if (record.from >= rings_.size()) rings_.resize(record.from + 1);
-  auto& ring = rings_[record.from];
-  ring.push_back(record);
-  if (ring.size() >= config_.ring_capacity) SpillRing(record.from);
-}
-
-void ProvenanceRecorder::SpillRing(std::uint32_t host) {
-  auto& ring = rings_[host];
-  for (const EdgeRecord& record : ring) {
-    seqs_.push_back(record.seq);
-    log_.Append(record);
-  }
-  ring.clear();
-}
-
 const ProvenanceLog& ProvenanceRecorder::Finish() {
   if (finished_) return log_;
   finished_ = true;
-  for (std::uint32_t host = 0; host < rings_.size(); ++host) {
-    if (!rings_[host].empty()) SpillRing(host);
-  }
-  // Restore global send order (seq is the Stage/RecordOrigin order, which is
-  // the deterministic event order of the run).
-  const std::size_t n = log_.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-    return seqs_[a] < seqs_[b];
-  });
-
-  // seq -> final row index for late-drop patching.
-  std::unordered_map<std::uint64_t, std::size_t> row_of_seq;
-  row_of_seq.reserve(n);
-
-  ProvenanceLog sorted;
-  sorted.host_region = std::move(log_.host_region);
-  sorted.end_us = end_us_;
-  sorted.send_us.reserve(n);
-  sorted.arrival_us.reserve(n);
-  sorted.from.reserve(n);
-  sorted.to.reserve(n);
-  sorted.object.reserve(n);
-  sorted.parent.reserve(n);
-  sorted.number.reserve(n);
-  sorted.bytes.reserve(n);
-  sorted.hop.reserve(n);
-  sorted.kind.reserve(n);
-  sorted.drop.reserve(n);
-  for (std::size_t rank = 0; rank < n; ++rank) {
-    const std::size_t i = order[rank];
-    row_of_seq.emplace(seqs_[i], rank);
-    sorted.send_us.push_back(log_.send_us[i]);
-    sorted.arrival_us.push_back(log_.arrival_us[i]);
-    sorted.from.push_back(log_.from[i]);
-    sorted.to.push_back(log_.to[i]);
-    sorted.object.push_back(log_.object[i]);
-    sorted.parent.push_back(log_.parent[i]);
-    sorted.number.push_back(log_.number[i]);
-    sorted.bytes.push_back(log_.bytes[i]);
-    sorted.hop.push_back(log_.hop[i]);
-    sorted.kind.push_back(log_.kind[i]);
-    sorted.drop.push_back(log_.drop[i]);
-  }
-  log_ = std::move(sorted);
-  seqs_.clear();
-  seqs_.shrink_to_fit();
-
-  for (const auto& [seq, reason] : late_drops_) {
-    auto it = row_of_seq.find(seq);
-    if (it != row_of_seq.end()) {
-      log_.drop[it->second] = static_cast<std::uint8_t>(reason);
-      log_.arrival_us[it->second] = -1;
-    }
-  }
-  late_drops_.clear();
-
   if (resync_warnings_ > 0) {
     LogWarn("provenance",
             "%" PRIu64 " stage/finalize/resolve resyncs during recording "

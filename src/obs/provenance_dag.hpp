@@ -2,9 +2,9 @@
 // recorder that captures every gossip edge of a run — (sender, receiver,
 // object, message kind, hop depth inherited from the sender's first-seen
 // record, send/arrival sim-times, wire bytes, drop reason if the message was
-// censored by loss/partition/outage) — into per-sender ring buffers that
-// spill into an in-memory columnar store and finally into a compact columnar
-// artifact (provenance.bin) alongside manifest.json.
+// censored by loss/partition/outage) — into an in-memory columnar store and
+// finally into a compact columnar artifact (provenance.bin) alongside
+// manifest.json.
 //
 // This is the primitive Ethna/DEthna derive their propagation-mechanism and
 // topology-inference analyses from: with it, every simulation run doubles as
@@ -29,6 +29,8 @@
 //      (ResolveDelivery). Per-(from,to) FIFO delivery (a Network invariant)
 //      makes the resolution a queue pop — no per-message lookup. A delivery
 //      that finds the receiver crashed is re-attributed as an `offline` drop.
+// Stage and finalize bracket one Network::Send, so records reach the log in
+// send order: the row index is the send sequence number.
 // Origins (a pool gateway injecting a freshly mined block) are recorded as
 // self-edges with hop depth 0; every relayed copy inherits depth
 // sender-first-seen + 1.
@@ -83,11 +85,9 @@ enum class EdgeDrop : std::uint8_t {
 inline constexpr std::size_t kEdgeDropCount = 5;
 std::string_view EdgeDropName(EdgeDrop drop);
 
-// One gossip edge, AoS form — the staging-ring record. The log stores the
-// same fields as columns; `seq` is the global send-order position and is
-// implicit (row index) in the written artifact.
+// One gossip edge, AoS form — the staged record. The log stores the same
+// fields as columns.
 struct EdgeRecord {
-  std::uint64_t seq = 0;
   std::int64_t send_us = 0;
   std::int64_t arrival_us = -1;  // -1: censored inside the network
   std::uint32_t from = 0;
@@ -103,8 +103,8 @@ struct EdgeRecord {
 
 // The complete edge log of one run in columnar (struct-of-arrays) form,
 // ordered by send time (ties by send order). This is both the in-memory
-// spill target of the recorder and the deserialized form of the
-// provenance.bin artifact.
+// store of the recorder and the deserialized form of the provenance.bin
+// artifact.
 struct ProvenanceLog {
   std::vector<std::int64_t> send_us;
   std::vector<std::int64_t> arrival_us;
@@ -201,10 +201,6 @@ class InvariantChecker {
 };
 
 struct ProvenanceConfig {
-  // Per-sender staging-ring capacity in records; a full ring spills into the
-  // columnar store. Small rings bound the AoS staging footprint; the columnar
-  // store grows with the run (it *is* the dataset).
-  std::size_t ring_capacity = 4096;
   // Abort (after logging) on the first invariant violation.
   bool fatal_invariants = false;
 };
@@ -245,20 +241,19 @@ class ProvenanceRecorder {
   void NoteHostOnline(std::uint32_t host, bool online);
 
   // Run cutoff for the artifact (edges scheduled past it were in flight).
-  void SetEndTime(std::int64_t end_us) { end_us_ = end_us; }
+  void SetEndTime(std::int64_t end_us) { log_.end_us = end_us; }
 
-  // Drains every staging ring, restores global send order, applies late
-  // (ingress-time) drop attributions, and returns the finished log.
+  // Reports stage/finalize/resolve resyncs and returns the finished log.
   // Idempotent; recording after Finish is a programming error.
   const ProvenanceLog& Finish();
 
   // Finish() + WriteBinary(dir + "/provenance.bin").
   bool WriteArtifact(const std::string& dir, std::string* error = nullptr);
 
-  std::uint64_t edges_recorded() const { return next_seq_; }
-  std::uint64_t violations() const { return checker_.violations_total(); }
-  InvariantChecker& checker() { return checker_impl_; }
-  const InvariantChecker& checker() const { return checker_impl_; }
+  std::uint64_t edges_recorded() const { return log_.size(); }
+  std::uint64_t violations() const { return checker_.total(); }
+  InvariantChecker& checker() { return checker_; }
+  const InvariantChecker& checker() const { return checker_; }
 
   // The depth at which `host` first saw `object` (its first-seen record);
   // false when the host never heard of it. Exposed for tests.
@@ -281,48 +276,31 @@ class ProvenanceRecorder {
     std::unordered_set<std::uint64_t> known_parents;
     bool marked_down = false;  // fault-layer view (NoteHostOnline)
   };
+  // Log row of a scheduled edge awaiting ingress resolution.
   struct PendingDelivery {
-    std::uint64_t seq;
-    EdgeKind kind;
-  };
-
-  // Small shim so the public violations() accessor reads naturally.
-  struct CheckerHandle {
-    const InvariantChecker* checker = nullptr;
-    std::uint64_t violations_total() const { return checker->total(); }
+    std::size_t row;
   };
 
   HostState& Host(std::uint32_t host);
   void CommitStaged(std::int64_t arrival_us, EdgeDrop drop);
-  void AppendRecord(const EdgeRecord& record);
-  void SpillRing(std::uint32_t host);
   // Updates the receiver's first-seen record from a scheduled block-message
   // edge (min-arrival wins; deterministic, see .cpp).
   void NoteFirstSeen(std::uint32_t host, std::uint64_t object,
                      std::int64_t arrival_us, std::uint16_t depth);
 
-  ProvenanceConfig config_;
-  InvariantChecker checker_impl_;
-  CheckerHandle checker_;
+  InvariantChecker checker_;
 
   // Staged-but-unfinalized edge (at most one; stage and finalize bracket a
   // single Network::Send call).
   EdgeRecord staged_;
   bool staged_active_ = false;
 
-  std::uint64_t next_seq_ = 0;
   bool finished_ = false;
 
-  // Per-sender staging rings (AoS), spilled into `log_` when full.
-  std::vector<std::vector<EdgeRecord>> rings_;
-  ProvenanceLog log_;                // columnar store (spill target)
-  std::vector<std::uint64_t> seqs_;  // per-row seq, parallel to log_ columns
-  std::int64_t end_us_ = INT64_MAX;
+  ProvenanceLog log_;
 
   // In-flight deliveries per directed (from,to) pair, popped FIFO at ingress.
   std::unordered_map<std::uint64_t, std::deque<PendingDelivery>> pending_;
-  // Ingress-time re-attributions (seq -> drop), applied at Finish.
-  std::vector<std::pair<std::uint64_t, EdgeDrop>> late_drops_;
 
   std::unordered_map<std::uint64_t, ObjectState> objects_;
   std::vector<HostState> hosts_;

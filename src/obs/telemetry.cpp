@@ -44,11 +44,6 @@ TelemetryConfig TelemetryConfig::FromEnv() {
     cfg.txprov = true;
     cfg.txprov_strict = std::string_view(txprov) == "strict";
   }
-  if (const char* ring = std::getenv("ETHSIM_PROVENANCE_RING");
-      ring != nullptr && ring[0] != '\0') {
-    const long long parsed = std::atoll(ring);
-    if (parsed > 0) cfg.provenance_ring = static_cast<std::size_t>(parsed);
-  }
   if (const char* cap = std::getenv("ETHSIM_TRACE_CAPACITY");
       cap != nullptr && cap[0] != '\0') {
     const long long parsed = std::atoll(cap);
@@ -70,7 +65,6 @@ Telemetry::Telemetry(TelemetryConfig config) : config_(std::move(config)) {
     profiler_ = std::make_unique<EngineProfiler>(config_.profile_sample_every);
   if (config_.provenance) {
     ProvenanceConfig prov;
-    prov.ring_capacity = config_.provenance_ring;
     prov.fatal_invariants = config_.provenance_strict;
     provenance_ = std::make_unique<ProvenanceRecorder>(prov);
     provenance_->AttachMetrics(metrics_.get());
@@ -120,8 +114,8 @@ bool Telemetry::WriteArtifacts(const std::string& dir,
       }))
     return false;
   if (provenance_) {
-    // unique_ptr does not propagate const: finishing the recorder (a drain,
-    // not a mutation of results) is fine from this const facade.
+    // unique_ptr does not propagate const: finishing the recorder (not a
+    // mutation of results) is fine from this const facade.
     std::string prov_error;
     if (!provenance_->WriteArtifact(dir, &prov_error)) {
       if (error != nullptr) *error = prov_error;

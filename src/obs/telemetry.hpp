@@ -38,7 +38,6 @@ struct TelemetryConfig {
   // stream. `provenance_strict` escalates invariant violations to abort.
   bool provenance = false;
   bool provenance_strict = false;
-  std::size_t provenance_ring = 4096;
   // State-sampling flight recorder (obs/sampler): engine/backlog probes
   // sampled on a sim-clock cadence into timeseries.bin, watermarks folded
   // into the manifest. The cadence default (250 ms sim) gives ~5k rows per
@@ -66,7 +65,6 @@ struct TelemetryConfig {
   //   ETHSIM_PROFILE=1            enable the wall-clock engine profiler
   //   ETHSIM_PROVENANCE=1|strict  record gossip provenance (strict: abort on
   //                               invariant violations)
-  //   ETHSIM_PROVENANCE_RING=N    per-sender staging-ring capacity
   //   ETHSIM_TRACE_CAPACITY=N     ring capacity in events
   //   ETHSIM_SAMPLE=1|interval_ms state-sampling flight recorder (a numeric
   //                               value overrides the 250 ms cadence)
@@ -103,8 +101,8 @@ class Telemetry {
   // metrics.jsonl / trace.json / profile.jsonl / provenance.bin /
   // timeseries.bin / txprov.bin. Returns
   // false and fills `error` (when non-null) with the failing path on I/O
-  // errors. Writing provenance finishes the recorder (drains staging rings);
-  // further recording afterwards is a programming error.
+  // errors. Writing provenance finishes the recorder; further recording
+  // afterwards is a programming error.
   bool WriteArtifacts(const std::string& dir,
                       std::string* error = nullptr) const;
 

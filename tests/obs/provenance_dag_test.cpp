@@ -1,8 +1,8 @@
 // Unit tests for the provenance recorder: the 3-step stage/finalize/resolve
-// protocol, per-(from,to) FIFO resolution, hop-depth inheritance, ring spill
-// + global send-order restoration, late offline re-attribution, the binary
-// artifact round-trip, and every invariant check (driven through set_handler
-// so no test aborts the process).
+// protocol, per-(from,to) FIFO resolution, hop-depth inheritance, global
+// send order across interleaved senders, late offline re-attribution, the
+// binary artifact round-trip, and every invariant check (driven through
+// set_handler so no test aborts the process).
 #include "obs/provenance_dag.hpp"
 
 #include <gtest/gtest.h>
@@ -28,10 +28,8 @@ std::uint64_t Prefix(std::uint8_t tag) { return H(tag).prefix_u64(); }
 // A recorder with hosts 0..n-1 registered and a non-aborting checker whose
 // violations are collected into `violations`.
 struct Harness {
-  explicit Harness(std::size_t hosts, std::size_t ring = 4096) {
-    ProvenanceConfig cfg;
-    cfg.ring_capacity = ring;
-    recorder = std::make_unique<ProvenanceRecorder>(cfg);
+  explicit Harness(std::size_t hosts) {
+    recorder = std::make_unique<ProvenanceRecorder>(ProvenanceConfig{});
     recorder->checker().set_handler(
         [this](InvariantCheck check, const std::string& detail) {
           violations.emplace_back(check, detail);
@@ -157,10 +155,10 @@ TEST(ProvenanceRecorder, OfflineIngressIsReattributedAtFinish) {
   EXPECT_TRUE(h.violations.empty());  // crashed receiver: correct drop
 }
 
-TEST(ProvenanceRecorder, TinyRingStillRestoresGlobalSendOrder) {
-  Harness h{4, /*ring=*/1};  // spill after every record
+TEST(ProvenanceRecorder, InterleavedSendersAppendInSendOrder) {
+  Harness h{4};
   h.recorder->RecordOrigin(0, H(1), H(9), 100, 0);
-  // Senders interleave so per-sender rings alone cannot give send order.
+  // Senders interleave: rows must follow the global send order.
   h.Relay(0, 1, EdgeKind::kNewBlock, 1, 10, 1000);
   h.Relay(0, 2, EdgeKind::kAnnouncement, 1, 20, 1500);
   h.Relay(1, 3, EdgeKind::kNewBlock, 1, 1100, 2100);
