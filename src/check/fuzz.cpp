@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "check/metamorphic.hpp"
@@ -12,21 +11,11 @@
 #include "common/types.hpp"
 #include "core/experiment.hpp"
 #include "core/provenance.hpp"
+#include "obs/json.hpp"
 
 namespace ethsim::check {
 
 namespace {
-
-// Same minimal escaping as the manifest writer (quotes and backslashes; the
-// strings we emit are oracle names and equation dumps, never control chars).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 
 struct ScenarioFate {
   bool failed = false;
@@ -48,9 +37,9 @@ void ReportLine(std::ofstream& report, const Scenario& scenario,
     report << ", \"status\": \"pass\"}\n";
     return;
   }
-  report << ", \"status\": \"fail\", \"kind\": \"" << JsonEscape(fate.kind)
-         << "\", \"name\": \"" << JsonEscape(fate.name) << "\", \"detail\": \""
-         << JsonEscape(fate.detail) << "\"}\n";
+  report << ", \"status\": \"fail\", \"kind\": " << obs::JsonString(fate.kind)
+         << ", \"name\": " << obs::JsonString(fate.name)
+         << ", \"detail\": " << obs::JsonString(fate.detail) << "}\n";
 }
 
 std::string FirstOracleFailure(core::Experiment& exp,
@@ -149,7 +138,7 @@ FuzzOutcome RunFuzz(const FuzzOptions& options) {
     } else {
       outcome.repro_paths.push_back(repro_path);
       report << "{\"scenario\": " << i << ", \"status\": \"shrunk\", "
-             << "\"repro\": \"" << JsonEscape(repro_path) << "\", "
+             << "\"repro\": " << obs::JsonString(repro_path) << ", "
              << "\"shrunk_nodes\": " << shrunk.config.peer_nodes << ", "
              << "\"shrunk_duration_s\": "
              << shrunk.config.duration.micros() / 1'000'000 << ", "
@@ -185,17 +174,17 @@ bool WriteRepro(const std::string& path, const ReproSpec& spec,
   out << "{\n"
       << "  \"fuzz_seed\": " << spec.fuzz_seed << ",\n"
       << "  \"index\": " << spec.index << ",\n"
-      << "  \"kind\": \"" << JsonEscape(spec.kind) << "\",\n"
-      << "  \"name\": \"" << JsonEscape(spec.name) << "\",\n"
-      << "  \"config_digest\": \"" << JsonEscape(spec.config_digest) << "\",\n"
+      << "  \"kind\": " << obs::JsonString(spec.kind) << ",\n"
+      << "  \"name\": " << obs::JsonString(spec.name) << ",\n"
+      << "  \"config_digest\": " << obs::JsonString(spec.config_digest)
+      << ",\n"
       << "  \"min_nodes\": " << spec.scenario.min_nodes << ",\n"
       << "  \"max_nodes\": " << spec.scenario.max_nodes << ",\n"
       << "  \"min_minutes\": " << spec.scenario.min_minutes << ",\n"
       << "  \"max_minutes\": " << spec.scenario.max_minutes << ",\n"
       << "  \"mutations\": [";
   for (std::size_t i = 0; i < spec.mutations.size(); ++i)
-    out << (i == 0 ? "" : ", ") << "\"" << JsonEscape(spec.mutations[i])
-        << "\"";
+    out << (i == 0 ? "" : ", ") << obs::JsonString(spec.mutations[i]);
   out << "]\n}\n";
   out.flush();
   if (!out.good()) {
@@ -234,14 +223,8 @@ bool ScrapeString(const std::string& text, const std::string& key,
 }  // namespace
 
 bool ReadRepro(const std::string& path, ReproSpec* spec, std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return false;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
+  std::string text;
+  if (!obs::ReadTextFile(path, &text, error)) return false;
 
   std::uint64_t u = 0;
   if (!ScrapeU64(text, "fuzz_seed", &spec->fuzz_seed) ||

@@ -40,13 +40,17 @@ RelationResult ReplayDeterminism(const core::ExperimentConfig& base) {
   return Pass("replay-determinism");
 }
 
-// Telemetry records; it never steers. Flipping every stream gate must leave
-// the determinism digest untouched (the generalized form of the golden
-// "recording does not perturb the run" tests).
+// Telemetry records; it never steers. Flipping all six stream gates must
+// leave the determinism digest untouched (the generalized form of the golden
+// "recording does not perturb the run" tests). The sampler's own ticks add
+// engine events, which the digest deliberately excludes.
 RelationResult TelemetryParity(const core::ExperimentConfig& base) {
   core::ExperimentConfig on = base;
   on.telemetry.metrics = true;
+  on.telemetry.trace = true;
+  on.telemetry.profile = true;
   on.telemetry.provenance = true;
+  on.telemetry.sample = true;
   on.telemetry.txprov = true;
   core::ExperimentConfig off = base;
   off.telemetry = obs::TelemetryConfig{};

@@ -6,6 +6,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace ethsim::obs {
 
 std::string_view MsgKindName(MsgKind kind) {
@@ -151,35 +153,21 @@ void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
   }
 }
 
-namespace {
-
-// Metric names contain only [A-Za-z0-9._{}=,-]; escape defensively anyway.
-void WriteJsonString(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
-}
-
-}  // namespace
-
 void MetricsRegistry::WriteJsonl(std::ostream& out) const {
   for (const auto& [name, counter] : counters_) {
     out << "{\"type\":\"counter\",\"name\":";
-    WriteJsonString(out, name);
+    out << JsonString(name);
     out << ",\"value\":" << counter.value() << "}\n";
   }
   for (const auto& [name, gauge] : gauges_) {
     out << "{\"type\":\"gauge\",\"name\":";
-    WriteJsonString(out, name);
+    out << JsonString(name);
     out << ",\"value\":" << gauge.value()
         << ",\"high_water\":" << gauge.high_water() << "}\n";
   }
   for (const auto& [name, histogram] : histograms_) {
     out << "{\"type\":\"histogram\",\"name\":";
-    WriteJsonString(out, name);
+    out << JsonString(name);
     out << ",\"count\":" << histogram.count() << ",\"sum\":" << histogram.sum()
         << ",\"buckets\":[";
     for (std::size_t i = 0; i < histogram.bucket_count(); ++i) {

@@ -20,14 +20,6 @@ EngineProfiler::EngineProfiler(std::uint64_t sample_every_events)
     : sample_mask_(NextPow2(sample_every_events) - 1),
       start_(std::chrono::steady_clock::now()) {}
 
-EngineProfiler::ScopedPhase::~ScopedPhase() {
-  if (profiler_ == nullptr) return;
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - start_)
-                      .count();
-  profiler_->RecordPhaseNs(name_, static_cast<std::uint64_t>(ns));
-}
-
 void EngineProfiler::ObserveCallbackNs(std::uint64_t ns) {
   const unsigned bucket = ns == 0 ? 0u : 63u - static_cast<unsigned>(
                                              std::countl_zero(ns));
@@ -50,10 +42,6 @@ void EngineProfiler::RecordSample(const EngineSnapshot& snapshot) {
   last_sample_wall_s_ = record.wall_s;
   last_sample_events_ = snapshot.events_executed;
   samples_.push_back(record);
-}
-
-void EngineProfiler::RecordPhaseNs(const char* name, std::uint64_t ns) {
-  phases_.push_back(PhaseRecord{name, ns});
 }
 
 void EngineProfiler::WriteJsonl(std::ostream& out) const {
@@ -80,10 +68,6 @@ void EngineProfiler::WriteJsonl(std::ostream& out) const {
     out << callback_buckets_[i];
   }
   out << "]}\n";
-  for (const PhaseRecord& p : phases_) {
-    out << "{\"type\":\"phase\",\"name\":\"" << p.name
-        << "\",\"wall_ns\":" << p.wall_ns << "}\n";
-  }
 }
 
 std::string EngineProfiler::ToJsonl() const {

@@ -1,14 +1,13 @@
 // Engine profiler — the *wall-clock* half of the telemetry subsystem. This
 // data answers "where does the real time go?" (events per wall-second, heap
-// and slot-arena occupancy, callback wall-time distribution, named phase
-// timings) and is inherently machine-dependent and nondeterministic: it is
+// and slot-arena occupancy, callback wall-time distribution) and is
+// inherently machine-dependent and nondeterministic: it is
 // written to its own profile.jsonl stream and never merged with the
 // deterministic sim-clock metrics or trace.
 //
 // Integration: Simulator::set_profiler() attaches it; the engine then times
 // every callback and pushes an EngineSnapshot every `sample_every_events`
-// events. Higher layers mark coarse phases (build/topology/run) through
-// ScopedPhase. When no profiler is attached the engine hot loop pays one
+// events. When no profiler is attached the engine hot loop pays one
 // predicted branch.
 #pragma once
 
@@ -43,28 +42,7 @@ class EngineProfiler {
   void ObserveCallbackNs(std::uint64_t ns);
   void RecordSample(const EngineSnapshot& snapshot);
 
-  // --- named wall-time phases ---------------------------------------------
-  class ScopedPhase {
-   public:
-    ScopedPhase(EngineProfiler* profiler, const char* name)
-        : profiler_(profiler), name_(name),
-          start_(std::chrono::steady_clock::now()) {}
-    ScopedPhase(const ScopedPhase&) = delete;
-    ScopedPhase& operator=(const ScopedPhase&) = delete;
-    ~ScopedPhase();
-
-   private:
-    EngineProfiler* profiler_;  // null = disabled, destructor is a no-op
-    const char* name_;
-    std::chrono::steady_clock::time_point start_;
-  };
-  void RecordPhaseNs(const char* name, std::uint64_t ns);
-
   // --- results -------------------------------------------------------------
-  struct PhaseRecord {
-    const char* name;
-    std::uint64_t wall_ns;
-  };
   struct SampleRecord {
     double wall_s = 0;            // seconds since profiler construction
     double events_per_wall_s = 0; // rate over the last sampling window
@@ -74,10 +52,9 @@ class EngineProfiler {
   std::uint64_t callbacks_timed() const { return callback_count_; }
   std::uint64_t callback_total_ns() const { return callback_total_ns_; }
   const std::vector<SampleRecord>& samples() const { return samples_; }
-  const std::vector<PhaseRecord>& phases() const { return phases_; }
 
   // JSONL: one "sample" line per snapshot, then one "callback_histogram"
-  // line (log2-ns buckets) and one "phase" line per recorded phase.
+  // line (log2-ns buckets).
   void WriteJsonl(std::ostream& out) const;
   std::string ToJsonl() const;
 
@@ -94,8 +71,6 @@ class EngineProfiler {
   std::vector<SampleRecord> samples_;
   std::uint64_t last_sample_events_ = 0;
   double last_sample_wall_s_ = 0;
-
-  std::vector<PhaseRecord> phases_;
 };
 
 }  // namespace ethsim::obs

@@ -17,15 +17,12 @@
 // arrival > end_us.
 #include "obs/provenance_dag.hpp"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <utility>
 
+#include "obs/columns.hpp"
 #include "obs/diag.hpp"
 #include "obs/metrics.hpp"
 
@@ -33,8 +30,6 @@ namespace ethsim::obs {
 
 namespace {
 
-constexpr char kMagic[8] = {'E', 'T', 'H', 'P', 'R', 'O', 'V', '1'};
-constexpr std::uint32_t kFormatVersion = 1;
 constexpr std::uint8_t kUnknownRegion = 0xff;
 
 // How many individual violations get a log line before we go quiet (the
@@ -43,39 +38,6 @@ constexpr std::uint64_t kMaxLoggedViolations = 16;
 
 std::uint64_t PairKey(std::uint32_t from, std::uint32_t to) {
   return (static_cast<std::uint64_t>(from) << 32) | to;
-}
-
-template <typename T>
-void WriteColumn(std::ofstream& out, const std::vector<T>& column) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.write(reinterpret_cast<const char*>(column.data()),
-            static_cast<std::streamsize>(column.size() * sizeof(T)));
-}
-
-template <typename T>
-bool ReadColumn(std::ifstream& in, std::vector<T>& column, std::size_t count) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  column.resize(count);
-  in.read(reinterpret_cast<char*>(column.data()),
-          static_cast<std::streamsize>(count * sizeof(T)));
-  return in.good() || (count == 0 && !in.bad());
-}
-
-template <typename T>
-void WriteScalar(std::ofstream& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadScalar(std::ifstream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return in.good();
-}
-
-bool Fail(std::string* error, std::string message) {
-  if (error != nullptr) *error = std::move(message);
-  return false;
 }
 
 }  // namespace
@@ -147,82 +109,55 @@ void ProvenanceLog::Append(const EdgeRecord& record) {
   drop.push_back(static_cast<std::uint8_t>(record.drop));
 }
 
-// Layout (all little-endian, no padding):
-//   char     magic[8]        "ETHPROV1"
-//   u32      version         1
-//   u32      host_count
-//   u64      edge_count
-//   i64      end_us
-//   u8       host_region[host_count]
-//   i64      send_us[edge_count]
-//   i64      arrival_us[edge_count]
-//   u32      from[edge_count]
-//   u32      to[edge_count]
-//   u64      object[edge_count]
-//   u64      parent[edge_count]
-//   u64      number[edge_count]
-//   u32      bytes[edge_count]
-//   u16      hop[edge_count]
-//   u8       kind[edge_count]
-//   u8       drop[edge_count]
 bool ProvenanceLog::WriteBinary(const std::string& path,
                                 std::string* error) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Fail(error, "cannot open " + path + " for writing");
-  out.write(kMagic, sizeof(kMagic));
-  WriteScalar(out, kFormatVersion);
-  WriteScalar(out, static_cast<std::uint32_t>(host_region.size()));
-  WriteScalar(out, static_cast<std::uint64_t>(size()));
-  WriteScalar(out, end_us);
-  WriteColumn(out, host_region);
-  WriteColumn(out, send_us);
-  WriteColumn(out, arrival_us);
-  WriteColumn(out, from);
-  WriteColumn(out, to);
-  WriteColumn(out, object);
-  WriteColumn(out, parent);
-  WriteColumn(out, number);
-  WriteColumn(out, bytes);
-  WriteColumn(out, hop);
-  WriteColumn(out, kind);
-  WriteColumn(out, drop);
-  out.flush();
-  if (!out.good()) return Fail(error, "short write to " + path);
-  return true;
+  ColumnWriter out;
+  out.AddScalar("end_us", end_us);
+  out.Add("host_region", host_region);
+  out.Add("send_us", send_us);
+  out.Add("arrival_us", arrival_us);
+  out.Add("from", from);
+  out.Add("to", to);
+  out.Add("object", object);
+  out.Add("parent", parent);
+  out.Add("number", number);
+  out.Add("bytes", bytes);
+  out.Add("hop", hop);
+  out.Add("kind", kind);
+  out.Add("drop", drop);
+  return out.Write(path, error);
 }
 
 bool ProvenanceLog::ReadBinary(const std::string& path, ProvenanceLog* out,
                                std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Fail(error, "cannot open " + path);
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Fail(error, path + ": bad magic (not a provenance.bin artifact)");
-  }
-  std::uint32_t version = 0;
-  std::uint32_t host_count = 0;
-  std::uint64_t edge_count = 0;
-  if (!ReadScalar(in, &version)) return Fail(error, path + ": truncated header");
-  if (version != kFormatVersion) {
-    return Fail(error, path + ": unsupported format version " +
-                           std::to_string(version));
-  }
-  if (!ReadScalar(in, &host_count) || !ReadScalar(in, &edge_count) ||
-      !ReadScalar(in, &out->end_us)) {
-    return Fail(error, path + ": truncated header");
-  }
-  const auto count = static_cast<std::size_t>(edge_count);
-  if (!ReadColumn(in, out->host_region, host_count) ||
-      !ReadColumn(in, out->send_us, count) ||
-      !ReadColumn(in, out->arrival_us, count) ||
-      !ReadColumn(in, out->from, count) || !ReadColumn(in, out->to, count) ||
-      !ReadColumn(in, out->object, count) ||
-      !ReadColumn(in, out->parent, count) ||
-      !ReadColumn(in, out->number, count) ||
-      !ReadColumn(in, out->bytes, count) || !ReadColumn(in, out->hop, count) ||
-      !ReadColumn(in, out->kind, count) || !ReadColumn(in, out->drop, count)) {
-    return Fail(error, path + ": truncated column data");
+  ColumnReader in;
+  if (!in.Open(path, error) || !in.TakeScalar("end_us", &out->end_us, error) ||
+      !in.Take("host_region", &out->host_region, error) ||
+      !in.Take("send_us", &out->send_us, error))
+    return false;
+  const std::uint64_t n = out->send_us.size();
+  if (!in.Take("arrival_us", &out->arrival_us, error, n) ||
+      !in.Take("from", &out->from, error, n) ||
+      !in.Take("to", &out->to, error, n) ||
+      !in.Take("object", &out->object, error, n) ||
+      !in.Take("parent", &out->parent, error, n) ||
+      !in.Take("number", &out->number, error, n) ||
+      !in.Take("bytes", &out->bytes, error, n) ||
+      !in.Take("hop", &out->hop, error, n) ||
+      !in.Take("kind", &out->kind, error, n) ||
+      !in.Take("drop", &out->drop, error, n))
+    return false;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto fail = [&](const char* what) {
+      return in.Fail(error, "row " + std::to_string(i) + ": " + what);
+    };
+    if (out->kind[i] >= kEdgeKindCount) return fail("kind out of range");
+    if (out->drop[i] >= kEdgeDropCount) return fail("drop reason out of range");
+    // A censored edge carries no arrival; a scheduled one carries one.
+    if (out->drop[i] != 0 ? out->arrival_us[i] != -1 : out->arrival_us[i] < -1)
+      return fail("arrival disagrees with the drop reason");
+    if (i > 0 && out->send_us[i - 1] > out->send_us[i])
+      return fail("not in send order");
   }
   return true;
 }
@@ -450,7 +385,7 @@ void ProvenanceRecorder::StageBlockEdge(std::uint32_t from, std::uint32_t to,
     checker_.OnFetchStage(from, object, sender_seen, parent_known);
   } else {
     checker_.OnBlockRelayStage(kind, from, object, sender_seen, now_us,
-                                    seen_arrival);
+                               seen_arrival);
   }
   staged_active_ = true;
 }
@@ -553,18 +488,6 @@ const ProvenanceLog& ProvenanceRecorder::Finish() {
             resync_warnings_);
   }
   return log_;
-}
-
-bool ProvenanceRecorder::WriteArtifact(const std::string& dir,
-                                       std::string* error) {
-  const ProvenanceLog& log = Finish();
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    if (error != nullptr) *error = dir + ": " + ec.message();
-    return false;
-  }
-  return log.WriteBinary(dir + "/provenance.bin", error);
 }
 
 }  // namespace ethsim::obs

@@ -139,9 +139,11 @@ struct ProvenanceLog {
            k == EdgeKind::kOrigin;
   }
 
-  // Compact columnar artifact IO (provenance.bin, magic "ETHPROV1",
-  // little-endian fixed-width columns; see WriteBinary for the layout).
-  // Both return false and fill `error` (when non-null) on failure.
+  // provenance.bin IO through the columnar container (obs/columns): one
+  // column per field above plus the 1-row `end_us`. The reader also rejects
+  // out-of-range kind/drop bytes, a dropped edge with an arrival other than
+  // -1, any arrival below -1, and rows out of send order. Both return false
+  // and fill `error` (when non-null) on failure.
   bool WriteBinary(const std::string& path, std::string* error = nullptr) const;
   static bool ReadBinary(const std::string& path, ProvenanceLog* out,
                          std::string* error = nullptr);
@@ -246,9 +248,6 @@ class ProvenanceRecorder {
   // Reports stage/finalize/resolve resyncs and returns the finished log.
   // Idempotent; recording after Finish is a programming error.
   const ProvenanceLog& Finish();
-
-  // Finish() + WriteBinary(dir + "/provenance.bin").
-  bool WriteArtifact(const std::string& dir, std::string* error = nullptr);
 
   std::uint64_t edges_recorded() const { return log_.size(); }
   std::uint64_t violations() const { return checker_.total(); }

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "obs/diag.hpp"
+#include "obs/json.hpp"
 
 #ifndef ETHSIM_GIT_SHA
 #define ETHSIM_GIT_SHA "unknown"
@@ -28,15 +29,6 @@ std::string CompilerId() {
 #endif
 }
 
-void WriteJsonString(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
-}
-
 }  // namespace
 
 BuildInfo CurrentBuild() {
@@ -51,18 +43,18 @@ std::string ManifestToJson(const RunManifest& m) {
   std::ostringstream out;
   out << "{\n";
   out << "  \"schema\": ";
-  WriteJsonString(out, m.schema);
+  out << JsonString(m.schema);
   out << ",\n  \"tool\": ";
-  WriteJsonString(out, m.tool);
+  out << JsonString(m.tool);
   out << ",\n  \"seed\": " << m.seed;
   out << ",\n  \"config_digest\": ";
-  WriteJsonString(out, m.config_digest);
+  out << JsonString(m.config_digest);
   out << ",\n  \"determinism_digest\": ";
-  WriteJsonString(out, m.determinism_digest);
+  out << JsonString(m.determinism_digest);
   out << ",\n  \"events_executed\": " << m.events_executed;
   out << ",\n  \"head_number\": " << m.head_number;
   out << ",\n  \"head_hash\": ";
-  WriteJsonString(out, m.head_hash);
+  out << JsonString(m.head_hash);
   out << ",\n  \"sim_duration_s\": " << m.sim_duration_s;
   out << ",\n  \"telemetry\": {\"metrics\": " << (m.metrics_enabled ? "true" : "false")
       << ", \"trace\": " << (m.trace_enabled ? "true" : "false")
@@ -77,18 +69,18 @@ std::string ManifestToJson(const RunManifest& m) {
     for (const SeriesWatermark& mark : m.watermarks) {
       if (!first) out << ", ";
       first = false;
-      WriteJsonString(out, mark.series);
+      out << JsonString(mark.series);
       out << ": {\"peak\": " << mark.peak << ", \"at_us\": " << mark.at_us
           << "}";
     }
     out << "}";
   }
   out << ",\n  \"build\": {\"git_sha\": ";
-  WriteJsonString(out, m.build.git_sha);
+  out << JsonString(m.build.git_sha);
   out << ", \"build_type\": ";
-  WriteJsonString(out, m.build.build_type);
+  out << JsonString(m.build.build_type);
   out << ", \"compiler\": ";
-  WriteJsonString(out, m.build.compiler);
+  out << JsonString(m.build.compiler);
   out << "}";
   if (!m.extra.empty()) {
     out << ",\n  \"extra\": {";
@@ -96,9 +88,9 @@ std::string ManifestToJson(const RunManifest& m) {
     for (const auto& [key, value] : m.extra) {
       if (!first) out << ", ";
       first = false;
-      WriteJsonString(out, key);
+      out << JsonString(key);
       out << ": ";
-      WriteJsonString(out, value);
+      out << JsonString(value);
     }
     out << "}";
   }

@@ -2,59 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
+
+#include "obs/columns.hpp"
 
 namespace ethsim::obs {
-
-namespace {
-
-constexpr char kMagic[8] = {'E', 'T', 'H', 'T', 'S', '1', '\0', '\0'};
-constexpr std::uint32_t kFormatVersion = 1;
-
-bool Fail(std::string* error, std::string message) {
-  if (error != nullptr) *error = std::move(message);
-  return false;
-}
-
-template <typename T>
-void WriteScalar(std::ostream& out, T value) {
-  // Little-endian, byte by byte: the artifact layout is independent of host
-  // endianness (same idiom as provenance_dag).
-  unsigned char buf[sizeof(T)];
-  auto bits = static_cast<std::uint64_t>(value);
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    buf[i] = static_cast<unsigned char>(bits & 0xff);
-    bits >>= 8;
-  }
-  out.write(reinterpret_cast<const char*>(buf), sizeof(T));
-}
-
-template <typename T>
-bool ReadScalar(std::istream& in, T* value) {
-  unsigned char buf[sizeof(T)];
-  in.read(reinterpret_cast<char*>(buf), sizeof(T));
-  if (!in.good()) return false;
-  std::uint64_t bits = 0;
-  for (std::size_t i = sizeof(T); i-- > 0;) bits = (bits << 8) | buf[i];
-  *value = static_cast<T>(bits);
-  return true;
-}
-
-void WriteColumn(std::ostream& out, const std::vector<std::int64_t>& column) {
-  for (const std::int64_t value : column) WriteScalar(out, value);
-}
-
-bool ReadColumn(std::istream& in, std::vector<std::int64_t>& column,
-                std::size_t count) {
-  column.resize(count);
-  for (std::size_t i = 0; i < count; ++i)
-    if (!ReadScalar(in, &column[i])) return false;
-  return true;
-}
-
-}  // namespace
 
 std::size_t TimeSeriesLog::Find(std::string_view name) const {
   for (std::size_t i = 0; i < names.size(); ++i)
@@ -84,60 +35,41 @@ bool TimeSeriesLog::Accumulate(const TimeSeriesLog& other) {
 
 bool TimeSeriesLog::WriteBinary(const std::string& path,
                                 std::string* error) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Fail(error, "cannot open " + path + " for writing");
-  out.write(kMagic, sizeof(kMagic));
-  WriteScalar(out, kFormatVersion);
-  WriteScalar(out, static_cast<std::uint32_t>(names.size()));
-  WriteScalar(out, static_cast<std::uint64_t>(t_us.size()));
-  WriteScalar(out, interval_us);
-  for (const std::string& name : names) {
-    WriteScalar(out, static_cast<std::uint32_t>(name.size()));
-    out.write(name.data(), static_cast<std::streamsize>(name.size()));
-  }
-  WriteColumn(out, t_us);
-  for (const auto& column : values) WriteColumn(out, column);
-  out.flush();
-  if (!out.good()) return Fail(error, "short write to " + path);
-  return true;
+  ColumnWriter out;
+  out.AddScalar("interval_us", interval_us);
+  out.Add("t_us", t_us);
+  for (std::size_t s = 0; s < names.size(); ++s) out.Add(names[s], values[s]);
+  return out.Write(path, error);
 }
 
 bool TimeSeriesLog::ReadBinary(const std::string& path, TimeSeriesLog* out,
                                std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Fail(error, "cannot open " + path);
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-    return Fail(error, path + ": bad magic (not a timeseries.bin artifact)");
-  std::uint32_t version = 0;
-  std::uint32_t series_count = 0;
-  std::uint64_t sample_count = 0;
-  if (!ReadScalar(in, &version)) return Fail(error, path + ": truncated header");
-  if (version != kFormatVersion)
-    return Fail(error, path + ": unsupported format version " +
-                           std::to_string(version));
-  if (!ReadScalar(in, &series_count) || !ReadScalar(in, &sample_count) ||
-      !ReadScalar(in, &out->interval_us))
-    return Fail(error, path + ": truncated header");
+  ColumnReader in;
+  if (!in.Open(path, error) ||
+      !in.TakeScalar("interval_us", &out->interval_us, error) ||
+      !in.Take("t_us", &out->t_us, error))
+    return false;
+  // Every other column is a series, in declaration order; the container
+  // already guarantees the names are unique and non-empty.
   out->names.clear();
-  out->names.reserve(series_count);
-  for (std::uint32_t s = 0; s < series_count; ++s) {
-    std::uint32_t length = 0;
-    if (!ReadScalar(in, &length) || length > 4096)
-      return Fail(error, path + ": truncated series name table");
-    std::string name(length, '\0');
-    in.read(name.data(), length);
-    if (!in.good()) return Fail(error, path + ": truncated series name table");
-    out->names.push_back(std::move(name));
+  out->values.clear();
+  for (const ColumnReader::Column& column : in.columns()) {
+    if (column.name == "interval_us" || column.name == "t_us") continue;
+    out->names.push_back(column.name);
+    out->values.emplace_back();
+    if (!in.Take(column.name, &out->values.back(), error, out->t_us.size()))
+      return false;
   }
-  const auto count = static_cast<std::size_t>(sample_count);
-  if (!ReadColumn(in, out->t_us, count))
-    return Fail(error, path + ": truncated time column");
-  out->values.assign(series_count, {});
-  for (auto& column : out->values)
-    if (!ReadColumn(in, column, count))
-      return Fail(error, path + ": truncated value columns");
+  if (out->interval_us <= 0)
+    return in.Fail(error, "interval_us " + std::to_string(out->interval_us) +
+                              " is not positive");
+  if (!out->t_us.empty() && out->t_us[0] != 0)
+    return in.Fail(error, "first sample at t=" + std::to_string(out->t_us[0]) +
+                              ", expected the t=0 baseline row");
+  for (std::size_t i = 1; i < out->t_us.size(); ++i)
+    if (out->t_us[i - 1] > out->t_us[i])
+      return in.Fail(error, "time column is not nondecreasing (row " +
+                                std::to_string(i) + ")");
   return true;
 }
 
@@ -179,12 +111,6 @@ std::vector<SeriesWatermark> ComputeWatermarks(const TimeSeriesLog& log) {
 
 std::vector<SeriesWatermark> StateSampler::Watermarks() const {
   return ComputeWatermarks(log_);
-}
-
-bool StateSampler::WriteArtifact(const std::string& dir,
-                                 std::string* error) const {
-  namespace fs = std::filesystem;
-  return log_.WriteBinary((fs::path(dir) / "timeseries.bin").string(), error);
 }
 
 }  // namespace ethsim::obs

@@ -3,7 +3,7 @@
 // provenance DAG answers "what happened to one message", the sampler answers
 // "what did the engine look like at minute 37": event-queue depth, txpool
 // backlog, orphan-buffer growth, in-flight traffic — each as a function of
-// *sim time*, written to a columnar `timeseries.bin` (format ETHTS1).
+// *sim time*, written to a columnar `timeseries.bin` (obs/columns).
 //
 // Split of responsibilities (dependency layering: obs never includes sim):
 //   * StateSampler (here) owns the registered probes and the recorded
@@ -22,22 +22,15 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace ethsim::obs {
 
-// Columnar time-series artifact (format ETHTS1, mirrors ETHPROV1):
-//   magic "ETHTS1\0\0" | u32 version | u32 series_count | u64 sample_count
-//   | i64 interval_us
-//   then per series: u32 name length + name bytes (no terminator)
-//   then the shared time column: i64 t_us[sample_count]
-//   then per series, in name-table order: i64 value[sample_count]
-// Everything little-endian, fixed-width. All series share the one time
-// column (samples are taken synchronously), which is what makes window
-// slicing and cross-series alignment trivial downstream.
+// The sampled columns of one run. All series share the one time column
+// (samples are taken synchronously), which is what makes window slicing and
+// cross-series alignment trivial downstream.
 struct TimeSeriesLog {
   std::int64_t interval_us = 0;
   std::vector<std::string> names;
@@ -58,6 +51,11 @@ struct TimeSeriesLog {
   // keep the longer tail). Returns false (untouched) on a shape mismatch.
   bool Accumulate(const TimeSeriesLog& other);
 
+  // timeseries.bin IO through the columnar container (obs/columns): a 1-row
+  // `interval_us`, the i64 `t_us` column, then one i64 column per series,
+  // named after it, in series order. The reader also rejects a non-positive
+  // interval and a time column that does not start with the t=0 row or
+  // ever decreases. Both return false and fill `error` on failure.
   bool WriteBinary(const std::string& path, std::string* error = nullptr) const;
   static bool ReadBinary(const std::string& path, TimeSeriesLog* out,
                          std::string* error = nullptr);
@@ -102,9 +100,6 @@ class StateSampler {
   // Peak + first-peak time per series, in series order. Deterministic:
   // derived purely from the recorded columns.
   std::vector<SeriesWatermark> Watermarks() const;
-
-  // log().WriteBinary(dir + "/timeseries.bin").
-  bool WriteArtifact(const std::string& dir, std::string* error = nullptr) const;
 
  private:
   std::int64_t interval_us_;

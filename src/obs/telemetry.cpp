@@ -113,33 +113,19 @@ bool Telemetry::WriteArtifacts(const std::string& dir,
         profiler_->WriteJsonl(out);
       }))
     return false;
-  if (provenance_) {
-    // unique_ptr does not propagate const: finishing the recorder (not a
-    // mutation of results) is fine from this const facade.
-    std::string prov_error;
-    if (!provenance_->WriteArtifact(dir, &prov_error)) {
-      if (error != nullptr) *error = prov_error;
-      LogError("telemetry", "failed writing %s", prov_error.c_str());
-      return false;
-    }
-  }
-  if (sampler_) {
-    std::string sample_error;
-    if (!sampler_->WriteArtifact(dir, &sample_error)) {
-      if (error != nullptr) *error = sample_error;
-      LogError("telemetry", "failed writing %s", sample_error.c_str());
-      return false;
-    }
-  }
-  if (txprov_) {
-    std::string tx_error;
-    if (!txprov_->WriteArtifact(dir, &tx_error)) {
-      if (error != nullptr) *error = tx_error;
-      LogError("telemetry", "failed writing %s", tx_error.c_str());
-      return false;
-    }
-  }
-  return true;
+  const auto write_log = [&](const char* file, const auto& log) {
+    std::string log_error;
+    if (log.WriteBinary((fs::path(dir) / file).string(), &log_error))
+      return true;
+    if (error != nullptr) *error = log_error;
+    LogError("telemetry", "failed writing %s", log_error.c_str());
+    return false;
+  };
+  // unique_ptr does not propagate const: finishing a recorder (not a
+  // mutation of results) is fine from this const facade.
+  return (!provenance_ || write_log("provenance.bin", provenance_->Finish())) &&
+         (!sampler_ || write_log("timeseries.bin", sampler_->log())) &&
+         (!txprov_ || write_log("txprov.bin", txprov_->Finish()));
 }
 
 }  // namespace ethsim::obs

@@ -4,6 +4,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace ethsim::obs {
 
 std::string_view TraceCategoryName(TraceCategory cat) {
@@ -72,20 +74,11 @@ std::vector<TraceEvent> Tracer::Events() const {
 
 namespace {
 
-void WriteJsonString(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
-}
-
 void WriteEvent(std::ostream& out, const TraceEvent& e) {
   out << "{\"name\":";
-  WriteJsonString(out, e.name);
+  out << JsonString(e.name);
   out << ",\"cat\":";
-  WriteJsonString(out, TraceCategoryName(e.cat));
+  out << JsonString(TraceCategoryName(e.cat));
   out << ",\"ph\":\"" << e.phase << "\",\"ts\":" << e.ts_us;
   if (e.phase == 'X') out << ",\"dur\":" << e.dur_us;
   if (e.phase == 'i') out << ",\"s\":\"t\"";  // thread-scoped instant
@@ -112,7 +105,7 @@ void WriteEvent(std::ostream& out, const TraceEvent& e) {
     if (e.arg_kind != nullptr) {
       if (!first) out << ',';
       out << "\"kind\":";
-      WriteJsonString(out, e.arg_kind);
+      out << JsonString(e.arg_kind);
     }
     out << '}';
   }

@@ -12,14 +12,13 @@
 // per tx, matching the first-time-d-deep semantics of analysis/commit).
 #include "obs/tx_provenance.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <utility>
 
+#include "obs/columns.hpp"
 #include "obs/diag.hpp"
 #include "obs/metrics.hpp"
 
@@ -27,46 +26,11 @@ namespace ethsim::obs {
 
 namespace {
 
-constexpr char kMagic[8] = {'E', 'T', 'H', 'T', 'X', '1', '\0', '\0'};
-constexpr std::uint32_t kFormatVersion = 1;
 constexpr std::uint8_t kUnknownRegion = 0xff;
 
 // How many individual violations get a log line before we go quiet (the
 // counters keep the full tally either way).
 constexpr std::uint64_t kMaxLoggedViolations = 16;
-
-template <typename T>
-void WriteColumn(std::ofstream& out, const std::vector<T>& column) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.write(reinterpret_cast<const char*>(column.data()),
-            static_cast<std::streamsize>(column.size() * sizeof(T)));
-}
-
-template <typename T>
-bool ReadColumn(std::ifstream& in, std::vector<T>& column, std::size_t count) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  column.resize(count);
-  in.read(reinterpret_cast<char*>(column.data()),
-          static_cast<std::streamsize>(count * sizeof(T)));
-  return in.good() || (count == 0 && !in.bad());
-}
-
-template <typename T>
-void WriteScalar(std::ofstream& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadScalar(std::ifstream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return in.good();
-}
-
-bool Fail(std::string* error, std::string message) {
-  if (error != nullptr) *error = std::move(message);
-  return false;
-}
 
 }  // namespace
 
@@ -129,90 +93,58 @@ std::string_view TxInvariantName(TxInvariant check) {
 // ---------------------------------------------------------------------------
 // TxProvLog
 
-void TxProvLog::Append(const TxStageRecord& record) {
-  t_us.push_back(record.t_us);
-  tx.push_back(record.tx);
-  host.push_back(record.host);
-  stage.push_back(static_cast<std::uint8_t>(record.stage));
-  info.push_back(record.info);
-  aux.push_back(record.aux);
-  number.push_back(record.number);
-}
-
-// Layout (all little-endian, no padding):
-//   char     magic[8]        "ETHTX1\0\0"
-//   u32      version         1
-//   u32      host_count
-//   u32      depth_count
-//   u64      record_count
-//   i64      end_us
-//   u8       host_region[host_count]
-//   u64      depths[depth_count]
-//   i64      t_us[record_count]
-//   u64      tx[record_count]
-//   u32      host[record_count]
-//   u8       stage[record_count]
-//   u16      info[record_count]
-//   u64      aux[record_count]
-//   u64      number[record_count]
 bool TxProvLog::WriteBinary(const std::string& path, std::string* error) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Fail(error, "cannot open " + path + " for writing");
-  out.write(kMagic, sizeof(kMagic));
-  WriteScalar(out, kFormatVersion);
-  WriteScalar(out, static_cast<std::uint32_t>(host_region.size()));
-  WriteScalar(out, static_cast<std::uint32_t>(depths.size()));
-  WriteScalar(out, static_cast<std::uint64_t>(size()));
-  WriteScalar(out, end_us);
-  WriteColumn(out, host_region);
-  WriteColumn(out, depths);
-  WriteColumn(out, t_us);
-  WriteColumn(out, tx);
-  WriteColumn(out, host);
-  WriteColumn(out, stage);
-  WriteColumn(out, info);
-  WriteColumn(out, aux);
-  WriteColumn(out, number);
-  out.flush();
-  if (!out.good()) return Fail(error, "short write to " + path);
-  return true;
+  ColumnWriter out;
+  out.AddScalar("end_us", end_us);
+  out.Add("host_region", host_region);
+  out.Add("depths", depths);
+  out.Add("t_us", t_us);
+  out.Add("tx", tx);
+  out.Add("host", host);
+  out.Add("stage", stage);
+  out.Add("info", info);
+  out.Add("aux", aux);
+  out.Add("number", number);
+  return out.Write(path, error);
 }
 
 bool TxProvLog::ReadBinary(const std::string& path, TxProvLog* out,
                            std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Fail(error, "cannot open " + path);
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Fail(error, path + ": bad magic (not a txprov.bin artifact)");
+  ColumnReader in;
+  if (!in.Open(path, error) || !in.TakeScalar("end_us", &out->end_us, error) ||
+      !in.Take("host_region", &out->host_region, error) ||
+      !in.Take("depths", &out->depths, error) ||
+      !in.Take("t_us", &out->t_us, error))
+    return false;
+  const std::uint64_t n = out->t_us.size();
+  if (!in.Take("tx", &out->tx, error, n) ||
+      !in.Take("host", &out->host, error, n) ||
+      !in.Take("stage", &out->stage, error, n) ||
+      !in.Take("info", &out->info, error, n) ||
+      !in.Take("aux", &out->aux, error, n) ||
+      !in.Take("number", &out->number, error, n))
+    return false;
+  for (std::size_t d = 1; d < out->depths.size(); ++d)
+    if (out->depths[d - 1] >= out->depths[d])
+      return in.Fail(error, "depth table is not strictly increasing");
+  // Per-tx record times never go backwards (the global column can: legacy
+  // bursts record their future submit timestamps at scheduling time).
+  std::unordered_map<std::uint64_t, std::int64_t> last_t;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto fail = [&](const char* what) {
+      return in.Fail(error, "row " + std::to_string(i) + ": " + what);
+    };
+    if (out->stage[i] >= kTxStageCount) return fail("stage out of range");
+    auto [it, inserted] = last_t.try_emplace(out->tx[i], out->t_us[i]);
+    if (out->t_us[i] < it->second)
+      return fail("time earlier than the tx's prior record");
+    it->second = out->t_us[i];
+    // Commit depths come from the swept depth table.
+    if (out->stage[i] == static_cast<std::uint8_t>(TxStage::kCommitted) &&
+        !std::binary_search(out->depths.begin(), out->depths.end(),
+                            std::uint64_t{out->info[i]}))
+      return fail("commit at a depth outside the table");
   }
-  std::uint32_t version = 0;
-  std::uint32_t host_count = 0;
-  std::uint32_t depth_count = 0;
-  std::uint64_t record_count = 0;
-  if (!ReadScalar(in, &version)) return Fail(error, path + ": truncated header");
-  if (version != kFormatVersion) {
-    return Fail(error, path + ": unsupported format version " +
-                           std::to_string(version));
-  }
-  if (!ReadScalar(in, &host_count) || !ReadScalar(in, &depth_count) ||
-      !ReadScalar(in, &record_count) || !ReadScalar(in, &out->end_us)) {
-    return Fail(error, path + ": truncated header");
-  }
-  const auto count = static_cast<std::size_t>(record_count);
-  if (!ReadColumn(in, out->host_region, host_count) ||
-      !ReadColumn(in, out->depths, depth_count) ||
-      !ReadColumn(in, out->t_us, count) || !ReadColumn(in, out->tx, count) ||
-      !ReadColumn(in, out->host, count) ||
-      !ReadColumn(in, out->stage, count) ||
-      !ReadColumn(in, out->info, count) || !ReadColumn(in, out->aux, count) ||
-      !ReadColumn(in, out->number, count)) {
-    return Fail(error, path + ": truncated column data");
-  }
-  // Exact-size check: nothing may trail the last column.
-  in.peek();
-  if (!in.eof()) return Fail(error, path + ": trailing bytes after columns");
   return true;
 }
 
@@ -341,15 +273,13 @@ void TxProvRecorder::Append(TxStage stage, std::uint64_t tx, std::int64_t t_us,
   TxState& state = State(tx);
   checker_.OnStage(stage, tx, t_us, state.last_t_us);
   if (t_us > state.last_t_us) state.last_t_us = t_us;
-  TxStageRecord record;
-  record.t_us = t_us;
-  record.tx = tx;
-  record.host = host;
-  record.stage = stage;
-  record.info = info;
-  record.aux = aux;
-  record.number = number;
-  log_.Append(record);
+  log_.t_us.push_back(t_us);
+  log_.tx.push_back(tx);
+  log_.host.push_back(host);
+  log_.stage.push_back(static_cast<std::uint8_t>(stage));
+  log_.info.push_back(info);
+  log_.aux.push_back(aux);
+  log_.number.push_back(number);
   if (Counter* c = stage_count_[static_cast<std::size_t>(stage)]) c->Add();
 }
 
@@ -458,25 +388,6 @@ void TxProvRecorder::AdvanceHead(std::uint32_t host, std::uint64_t head_number,
              state.include_block, state.include_height);
     }
   }
-}
-
-const TxProvLog& TxProvRecorder::Finish() {
-  if (finished_) return log_;
-  finished_ = true;
-  log_.end_us = end_us_;
-  return log_;
-}
-
-bool TxProvRecorder::WriteArtifact(const std::string& dir,
-                                   std::string* error) {
-  const TxProvLog& log = Finish();
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    if (error != nullptr) *error = dir + ": " + ec.message();
-    return false;
-  }
-  return log.WriteBinary(dir + "/txprov.bin", error);
 }
 
 }  // namespace ethsim::obs

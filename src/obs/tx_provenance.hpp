@@ -5,8 +5,8 @@
 // each host, selected into a block by a mining pool, included on the commit
 // anchor's canonical chain, returned to the pool when a reorg orphans its
 // block, and committed at each configured confirmation depth — as
-// sim-timestamped stage records spilled into a columnar artifact
-// (txprov.bin, magic "ETHTX1", mirroring ETHPROV1/ETHTS1).
+// sim-timestamped stage records written to a columnar artifact
+// (txprov.bin, obs/columns).
 //
 // Where obs/provenance_dag answers "how did this BLOCK spread?", this
 // recorder answers "where did this TRANSACTION's commit latency come from?"
@@ -88,17 +88,6 @@ enum class TxPoolOutcome : std::uint8_t {
 inline constexpr std::size_t kTxPoolOutcomeCount = 6;
 std::string_view TxPoolOutcomeName(TxPoolOutcome outcome);
 
-// One stage record, AoS form. The log stores the same fields as columns.
-struct TxStageRecord {
-  std::int64_t t_us = 0;
-  std::uint64_t tx = 0;    // hash prefix (prefix_u64)
-  std::uint32_t host = 0;  // acting host id
-  TxStage stage = TxStage::kSubmitted;
-  std::uint16_t info = 0;
-  std::uint64_t aux = 0;
-  std::uint64_t number = 0;
-};
-
 // The complete stage log of one run in columnar (struct-of-arrays) form, in
 // recording order (the deterministic event order of the run; per-tx times
 // are monotone, the global time column is not — legacy burst submissions are
@@ -107,9 +96,9 @@ struct TxStageRecord {
 // txprov.bin artifact.
 struct TxProvLog {
   std::vector<std::int64_t> t_us;
-  std::vector<std::uint64_t> tx;
-  std::vector<std::uint32_t> host;
-  std::vector<std::uint8_t> stage;
+  std::vector<std::uint64_t> tx;    // hash prefix (prefix_u64)
+  std::vector<std::uint32_t> host;  // acting host id
+  std::vector<std::uint8_t> stage;  // TxStage
   std::vector<std::uint16_t> info;
   std::vector<std::uint64_t> aux;
   std::vector<std::uint64_t> number;
@@ -123,11 +112,12 @@ struct TxProvLog {
 
   std::size_t size() const { return t_us.size(); }
   bool empty() const { return t_us.empty(); }
-  void Append(const TxStageRecord& record);
 
-  // Compact columnar artifact IO (txprov.bin, magic "ETHTX1", little-endian
-  // fixed-width columns; see WriteBinary for the layout). Both return false
-  // and fill `error` (when non-null) on failure.
+  // txprov.bin IO through the columnar container (obs/columns): one column
+  // per field above plus the 1-row `end_us`. The reader also rejects
+  // out-of-range stage bytes, a depth table that is not strictly increasing,
+  // per-tx time regressions and commits at depths outside the table. Both
+  // return false and fill `error` (when non-null) on failure.
   bool WriteBinary(const std::string& path, std::string* error = nullptr) const;
   static bool ReadBinary(const std::string& path, TxProvLog* out,
                          std::string* error = nullptr);
@@ -240,15 +230,11 @@ class TxProvRecorder {
                    std::int64_t t_us);
 
   // Run cutoff for the artifact.
-  void SetEndTime(std::int64_t end_us) { end_us_ = end_us; }
+  void SetEndTime(std::int64_t end_us) { log_.end_us = end_us; }
 
-  // Stamps the cutoff and returns the finished log. Records are already in
-  // deterministic event order (single append stream — no staging rings, no
-  // sort). Idempotent; recording after Finish is a programming error.
-  const TxProvLog& Finish();
-
-  // Finish() + WriteBinary(dir + "/txprov.bin").
-  bool WriteArtifact(const std::string& dir, std::string* error = nullptr);
+  // The finished log. Records are already in deterministic event order (a
+  // single append stream); recording after Finish is a programming error.
+  const TxProvLog& Finish() const { return log_; }
 
   std::uint64_t records_recorded() const { return log_.size(); }
   std::uint64_t violations() const { return checker_.total(); }
@@ -295,8 +281,6 @@ class TxProvRecorder {
   std::vector<bool> vantage_;
   std::uint32_t anchor_host_ = 0;
   bool has_anchor_ = false;
-  bool finished_ = false;
-  std::int64_t end_us_ = INT64_MAX;
 
   std::array<Counter*, kTxStageCount> stage_count_{};
 };

@@ -12,15 +12,15 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "core/provenance.hpp"
 #include "core/sweep.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "../obs/json_check.hpp"
+#include "obs/validate.hpp"
 
 namespace ethsim::core {
 namespace {
@@ -39,13 +39,6 @@ obs::TelemetryConfig FullTelemetry() {
   t.profile = true;
   t.trace_capacity = 1u << 14;  // small ring: forces overwrites too
   return t;
-}
-
-std::string ReadFile(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 class ArtifactDirFixture : public ::testing::Test {
@@ -219,6 +212,7 @@ TEST_F(ArtifactDirFixture, WriteRunArtifactsEmitsManifestAndStreams) {
   ExperimentConfig cfg = TinyConfig();
   cfg.duration = Duration::Minutes(3);
   cfg.telemetry = FullTelemetry();
+  cfg.telemetry.provenance = cfg.telemetry.sample = cfg.telemetry.txprov = true;
   Experiment exp{cfg};
   exp.Run();
 
@@ -227,29 +221,24 @@ TEST_F(ArtifactDirFixture, WriteRunArtifactsEmitsManifestAndStreams) {
       << error;
 
   for (const char* name :
-       {"manifest.json", "metrics.jsonl", "trace.json", "profile.jsonl"})
+       {"manifest.json", "metrics.jsonl", "trace.json", "profile.jsonl",
+        "provenance.bin", "timeseries.bin", "txprov.bin"})
     EXPECT_TRUE(std::filesystem::exists(dir_ / name)) << name;
 
-  const std::string manifest = ReadFile(dir_ / "manifest.json");
-  EXPECT_TRUE(ethsim::testing::IsWellFormedJson(manifest)) << manifest;
+  std::string manifest;
+  ASSERT_TRUE(obs::ReadTextFile((dir_ / "manifest.json").string(), &manifest));
+  obs::JsonValue doc;
+  EXPECT_TRUE(obs::ParseJson(manifest, &doc)) << manifest;
   EXPECT_NE(manifest.find("\"schema\": \"ethsim-run-manifest-v1\""),
             std::string::npos);
   EXPECT_NE(manifest.find("\"tool\": \"telemetry_test\""), std::string::npos);
   EXPECT_NE(manifest.find(ToHex(ConfigDigest(cfg))), std::string::npos);
   EXPECT_NE(manifest.find(ToHex(DeterminismDigest(exp))), std::string::npos);
 
-  const std::string trace = ReadFile(dir_ / "trace.json");
-  EXPECT_TRUE(ethsim::testing::IsWellFormedJson(trace));
-
-  std::istringstream metrics(ReadFile(dir_ / "metrics.jsonl"));
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(metrics, line)) {
-    if (line.empty()) continue;
-    EXPECT_TRUE(ethsim::testing::IsWellFormedJson(line)) << line;
-    ++lines;
-  }
-  EXPECT_GT(lines, 10u);
+  // Every stream's file passes the run validator.
+  const obs::ValidationResult result = obs::ValidateRunDir(dir_.string());
+  EXPECT_EQ(result.exit_code(), 0)
+      << (result.failures.empty() ? "" : result.failures.front());
 }
 
 TEST_F(ArtifactDirFixture, WriteRunArtifactsWithTelemetryOffStillWritesManifest) {

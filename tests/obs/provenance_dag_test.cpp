@@ -196,16 +196,14 @@ TEST(ProvenanceRecorder, BinaryArtifactRoundTripsBitExact) {
   h.recorder->FinalizeDropped(2, 0, EdgeDrop::kPartitioned);
   h.recorder->SetEndTime(60'000'000);
 
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "ethsim_prov_rt").string();
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "ethsim_prov_rt.bin").string();
+  const ProvenanceLog& log = h.recorder->Finish();
   std::string error;
-  ASSERT_TRUE(h.recorder->WriteArtifact(dir, &error)) << error;
+  ASSERT_TRUE(log.WriteBinary(path, &error)) << error;
 
   ProvenanceLog loaded;
-  ASSERT_TRUE(ProvenanceLog::ReadBinary(dir + "/provenance.bin", &loaded,
-                                        &error))
-      << error;
-  const ProvenanceLog& log = h.recorder->Finish();
+  ASSERT_TRUE(ProvenanceLog::ReadBinary(path, &loaded, &error)) << error;
   ASSERT_EQ(loaded.size(), log.size());
   EXPECT_EQ(loaded.end_us, log.end_us);
   EXPECT_EQ(loaded.host_region, log.host_region);
@@ -220,7 +218,7 @@ TEST(ProvenanceRecorder, BinaryArtifactRoundTripsBitExact) {
   EXPECT_EQ(loaded.hop, log.hop);
   EXPECT_EQ(loaded.kind, log.kind);
   EXPECT_EQ(loaded.drop, log.drop);
-  std::filesystem::remove_all(dir);
+  std::filesystem::remove(path);
 }
 
 TEST(ProvenanceLog, ReadBinaryRejectsGarbage) {

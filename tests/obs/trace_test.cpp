@@ -4,7 +4,7 @@
 
 #include <string>
 
-#include "json_check.hpp"
+#include "obs/json.hpp"
 
 namespace ethsim::obs {
 namespace {
@@ -103,7 +103,10 @@ TEST(Tracer, ChromeTraceJsonIsWellFormed) {
   tracer.Emit(Instant("mine.mint", 2'000, TraceCategory::kMine));
 
   const std::string json = tracer.ToChromeTraceJson();
-  EXPECT_TRUE(ethsim::testing::IsWellFormedJson(json)) << json;
+  JsonValue doc;
+  ASSERT_TRUE(ParseJson(json, &doc)) << json;
+  ASSERT_NE(doc.Find("traceEvents"), nullptr);
+  EXPECT_EQ(doc.Find("traceEvents")->items.size(), 2u);
   // Chrome trace-event envelope + both events present.
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("block.validate"), std::string::npos);
@@ -115,7 +118,8 @@ TEST(Tracer, ChromeTraceJsonIsWellFormed) {
 TEST(Tracer, EmptyTraceIsStillValidJson) {
   Tracer tracer{kAllTraceCategories, 8};
   const std::string json = tracer.ToChromeTraceJson();
-  EXPECT_TRUE(ethsim::testing::IsWellFormedJson(json)) << json;
+  JsonValue doc;
+  EXPECT_TRUE(ParseJson(json, &doc)) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
 }
 

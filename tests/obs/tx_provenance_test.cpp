@@ -2,15 +2,13 @@
 // plumbing, pool-outcome mapping, vantage/anchor role filtering, the
 // depth-sweep commit queue (sticky committed mask across reorgs), every
 // invariant check (driven through set_handler so no test aborts the
-// process), and the txprov.bin artifact round-trip with its corruption
-// diagnostics.
+// process), and the txprov.bin artifact round-trip.
 #include "obs/tx_provenance.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -323,6 +321,7 @@ TEST(TxProvLog, BinaryRoundTrip) {
   TxProvLog loaded;
   ASSERT_TRUE(TxProvLog::ReadBinary(path, &loaded, &error)) << error;
   ASSERT_EQ(loaded.size(), log.size());
+  EXPECT_EQ(loaded.size(), h.recorder->records_recorded());
   EXPECT_EQ(loaded.t_us, log.t_us);
   EXPECT_EQ(loaded.tx, log.tx);
   EXPECT_EQ(loaded.host, log.host);
@@ -334,79 +333,6 @@ TEST(TxProvLog, BinaryRoundTrip) {
   EXPECT_EQ(loaded.depths, (std::vector<std::uint64_t>{0, 2}));
   EXPECT_EQ(loaded.end_us, 123456789);
   std::remove(path.c_str());
-}
-
-TEST(TxProvLog, ReadRejectsCorruptArtifacts) {
-  Harness h{2};
-  h.Lifecycle(1, 1000, 9, 5);
-  const std::string path = TempPath("corrupt.bin");
-  ASSERT_TRUE(h.recorder->Finish().WriteBinary(path));
-
-  std::ifstream in(path, std::ios::binary);
-  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  in.close();
-
-  const auto write_bytes = [&path](const std::vector<char>& data) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(data.data(), static_cast<std::streamsize>(data.size()));
-  };
-
-  TxProvLog out;
-  std::string error;
-
-  // Bad magic.
-  std::vector<char> bad = bytes;
-  bad[0] = 'X';
-  write_bytes(bad);
-  EXPECT_FALSE(TxProvLog::ReadBinary(path, &out, &error));
-  EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
-
-  // Unsupported version.
-  bad = bytes;
-  bad[8] = 99;
-  write_bytes(bad);
-  EXPECT_FALSE(TxProvLog::ReadBinary(path, &out, &error));
-  EXPECT_NE(error.find("unsupported format version"), std::string::npos)
-      << error;
-
-  // Truncated header (cut inside the fixed 36-byte prefix).
-  bad.assign(bytes.begin(), bytes.begin() + 20);
-  write_bytes(bad);
-  EXPECT_FALSE(TxProvLog::ReadBinary(path, &out, &error));
-  EXPECT_NE(error.find("truncated header"), std::string::npos) << error;
-
-  // Truncated columns (cut the final column short).
-  bad.assign(bytes.begin(), bytes.end() - 4);
-  write_bytes(bad);
-  EXPECT_FALSE(TxProvLog::ReadBinary(path, &out, &error));
-  EXPECT_NE(error.find("truncated column data"), std::string::npos) << error;
-
-  // Trailing bytes after the last column.
-  bad = bytes;
-  bad.push_back('\0');
-  write_bytes(bad);
-  EXPECT_FALSE(TxProvLog::ReadBinary(path, &out, &error));
-  EXPECT_NE(error.find("trailing bytes"), std::string::npos) << error;
-
-  // Missing file.
-  std::remove(path.c_str());
-  EXPECT_FALSE(TxProvLog::ReadBinary(path, &out, &error));
-  EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
-}
-
-TEST(TxProvRecorder, WriteArtifactCreatesDirectoryAndFile) {
-  Harness h{2};
-  h.Lifecycle(1, 1000, 9, 5);
-  const std::string dir = TempPath("artifact_dir");
-  std::filesystem::remove_all(dir);
-  std::string error;
-  ASSERT_TRUE(h.recorder->WriteArtifact(dir, &error)) << error;
-  TxProvLog loaded;
-  ASSERT_TRUE(TxProvLog::ReadBinary(dir + "/txprov.bin", &loaded, &error))
-      << error;
-  EXPECT_EQ(loaded.size(), h.recorder->records_recorded());
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

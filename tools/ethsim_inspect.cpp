@@ -45,6 +45,12 @@
 //       Default prints overall + both breakdowns; --by-region / --by-pool
 //       restrict to one. --csv emits machine-readable rows.
 //   ethsim_inspect <run-dir> --summary   (default when no query given)
+//   ethsim_inspect <run-dir> --validate [--require M]... [--forbid-nonzero P]...
+//       Check every artifact in the directory (obs/validate): manifest keys
+//       and digests, metrics/trace/profile schemas, and each binary log
+//       through its validating reader. --require M demands a metric named M
+//       (or M{...}); --forbid-nonzero P demands counters matching P exist
+//       and are all zero. Exit 0 valid, 1 invalid, 2 unreadable directory.
 //
 // `--json` switches --demand, --watermarks, --redundancy and --hops to
 // machine-readable JSON.
@@ -52,16 +58,14 @@
 // `--block head` resolves the head hash from manifest.json, so the common
 // "show me the head block's tree" needs no copy-pasted hash.
 //
-// Artifact errors (missing, truncated, wrong magic) are a one-line
-// diagnostic and a nonzero exit — never a partial report.
+// Artifact errors (missing, truncated, corrupt) are a one-line diagnostic
+// and a nonzero exit — never a partial report: every binary artifact is read
+// through a reader that validates it first.
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,9 +75,11 @@
 #include "common/types.hpp"
 #include "net/geo.hpp"
 #include "obs/diag.hpp"
+#include "obs/json.hpp"
 #include "obs/provenance_dag.hpp"
 #include "obs/sampler.hpp"
 #include "obs/tx_provenance.hpp"
+#include "obs/validate.hpp"
 
 namespace {
 
@@ -90,6 +96,8 @@ using ethsim::obs::EdgeDrop;
 using ethsim::obs::EdgeDropName;
 using ethsim::obs::EdgeKind;
 using ethsim::obs::EdgeKindName;
+using ethsim::obs::JsonString;
+using ethsim::obs::JsonValue;
 using ethsim::obs::LogError;
 using ethsim::obs::ProvenanceLog;
 using ethsim::obs::SeriesWatermark;
@@ -116,105 +124,81 @@ void Usage() {
       "    [--by-region|--by-pool] restrict the breakdown sections\n"
       "    [--csv]                 machine-readable rows\n"
       "  --json                    JSON output for --demand / --watermarks /\n"
-      "                            --redundancy / --hops\n");
+      "                            --redundancy / --hops\n"
+      "  --validate                check every artifact in the directory\n"
+      "    [--require <metric>]    metrics.jsonl must contain the metric\n"
+      "    [--forbid-nonzero <p>]  counters matching p must exist and be 0\n");
 }
 
-std::string RegionName(const ProvenanceLog& log, std::uint32_t host) {
-  if (host < log.host_region.size() && log.host_region[host] != 0xff) {
+// Both binary logs carry a host -> region table (0xff = unknown).
+std::string RegionName(const std::vector<std::uint8_t>& host_region,
+                       std::uint32_t host) {
+  if (host < host_region.size() && host_region[host] != 0xff) {
     return std::string(ethsim::net::RegionShortName(
-        static_cast<ethsim::net::Region>(log.host_region[host])));
+        static_cast<ethsim::net::Region>(host_region[host])));
   }
   return "?";
 }
 
-// Pulls "head_hash": "..." out of manifest.json without a JSON library —
-// the manifest writer emits exactly this shape.
-bool HeadHashFromManifest(const std::string& dir, std::string* hex) {
-  std::ifstream in(dir + "/manifest.json");
-  if (!in) return false;
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto key = line.find("\"head_hash\"");
-    if (key == std::string::npos) continue;
-    const auto open = line.find('"', key + 11);
-    if (open == std::string::npos) continue;
-    const auto close = line.find('"', open + 1);
-    if (close == std::string::npos) continue;
-    *hex = line.substr(open + 1, close - open - 1);
-    return !hex->empty();
-  }
-  return false;
+// manifest.json of the run directory, or false when it is missing or not a
+// JSON object (callers decide whether that is an error).
+bool LoadManifest(const std::string& dir, JsonValue* manifest) {
+  std::string text;
+  return ethsim::obs::ReadTextFile(dir + "/manifest.json", &text) &&
+         ethsim::obs::ParseJson(text, manifest) && manifest->is_object();
 }
 
-// Generic manifest extra lookup ("key": "value"), same line-scraping
-// approach as the head hash. Returns false when the key is absent.
-bool ManifestValue(const std::string& dir, const std::string& key,
-                   std::string* value) {
-  std::ifstream in(dir + "/manifest.json");
-  if (!in) return false;
-  const std::string quoted = "\"" + key + "\"";
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto pos = line.find(quoted);
-    if (pos == std::string::npos) continue;
-    const auto open = line.find('"', pos + quoted.size());
-    if (open == std::string::npos) continue;
-    const auto close = line.find('"', open + 1);
-    if (close == std::string::npos) continue;
-    *value = line.substr(open + 1, close - open - 1);
-    return true;
-  }
-  return false;
+// A string-valued manifest extra ("extra": {"key": "value"}); null when the
+// key is absent.
+const std::string* ManifestExtra(const JsonValue& manifest,
+                                 std::string_view key) {
+  const JsonValue* extra = manifest.Find("extra");
+  const JsonValue* value = extra != nullptr ? extra->Find(key) : nullptr;
+  return value != nullptr && value->is_string() ? &value->string : nullptr;
 }
 
 // Executed partition windows ("partition_window.N": "start_us..end_us")
-// from the manifest extras, same line-scraping approach as the head hash.
-// Missing manifest or no windows is not an error — just empty context.
-std::vector<std::pair<std::int64_t, std::int64_t>> PartitionWindowsFromManifest(
+// from the manifest extras. Missing manifest or no windows is not an error —
+// just empty context.
+std::vector<std::pair<std::int64_t, std::int64_t>> PartitionWindows(
     const std::string& dir) {
   std::vector<std::pair<std::int64_t, std::int64_t>> windows;
-  std::ifstream in(dir + "/manifest.json");
-  if (!in) return windows;
-  std::string line;
-  while (std::getline(in, line)) {
-    std::size_t pos = 0;
-    while ((pos = line.find("\"partition_window.", pos)) != std::string::npos) {
-      const auto key_end = line.find('"', pos + 1);
-      if (key_end == std::string::npos) break;
-      const auto open = line.find('"', key_end + 1);
-      if (open == std::string::npos) break;
-      const auto close = line.find('"', open + 1);
-      if (close == std::string::npos) break;
-      const std::string value = line.substr(open + 1, close - open - 1);
-      char* rest = nullptr;
-      const std::int64_t start = std::strtoll(value.c_str(), &rest, 10);
-      if (rest != nullptr && rest[0] == '.' && rest[1] == '.')
-        windows.emplace_back(start, std::strtoll(rest + 2, nullptr, 10));
-      pos = close + 1;
-    }
+  JsonValue manifest;
+  if (!LoadManifest(dir, &manifest)) return windows;
+  const JsonValue* extra = manifest.Find("extra");
+  if (extra == nullptr) return windows;
+  for (const auto& [key, value] : extra->members) {
+    if (key.rfind("partition_window.", 0) != 0 || !value.is_string()) continue;
+    char* rest = nullptr;
+    const std::int64_t start = std::strtoll(value.string.c_str(), &rest, 10);
+    if (rest != nullptr && rest[0] == '.' && rest[1] == '.')
+      windows.emplace_back(start, std::strtoll(rest + 2, nullptr, 10));
   }
   return windows;
 }
 
-// Accepts a full 32-byte hex hash, a shorter hex prefix (>= 8 bytes / 16
-// chars resolves directly; shorter prefixes match against the log), or the
-// literal "head".
-bool ResolveObject(const std::string& dir, const ProvenanceLog& log,
-                   std::string token, std::uint64_t* object) {
-  if (token == "head") {
-    std::string hex;
-    if (!HeadHashFromManifest(dir, &hex)) {
-      LogError("inspect",
-               "cannot resolve 'head': no head_hash in %s/manifest.json",
-               dir.c_str());
-      return false;
-    }
-    token = hex;
-  }
+// Reads one binary artifact through its validating reader; a failure is one
+// line naming the gate that records it.
+template <typename Log>
+bool LoadLog(const std::string& dir, const char* file, const char* gate,
+             Log* log) {
+  std::string error;
+  if (Log::ReadBinary(dir + "/" + file, log, &error)) return true;
+  LogError("inspect", "%s (run the producing tool with %s to record it)",
+           error.c_str(), gate);
+  return false;
+}
+
+// Resolves a hex hash (optionally 0x-prefixed) to its 8-byte prefix: 16 or
+// more hex digits name the prefix directly; a shorter even-length prefix
+// must match exactly one of `candidates`.
+bool ResolvePrefix(std::string token,
+                   const std::vector<std::uint64_t>& candidates,
+                   const char* what, std::uint64_t* out) {
   if (token.rfind("0x", 0) == 0) token = token.substr(2);
   if (token.size() > 16) token = token.substr(0, 16);  // prefix_u64 covers 8B
   if (token.empty() || token.size() % 2 != 0) {
-    LogError("inspect", "bad block hash '%s'", token.c_str());
+    LogError("inspect", "bad %s hash '%s'", what, token.c_str());
     return false;
   }
   std::uint64_t prefix = 0;
@@ -230,28 +214,47 @@ bool ResolveObject(const std::string& dir, const ProvenanceLog& log,
     prefix = (prefix << 4) | static_cast<std::uint64_t>(nibble);
   }
   if (token.size() == 16) {
-    *object = prefix;
+    *out = prefix;
     return true;
   }
-  // Short prefix: shift into the high bits and scan the log for one match.
+  // Short prefix: shift into the high bits and scan for one match.
   const unsigned bits = static_cast<unsigned>(token.size()) * 4;
   const std::uint64_t wanted = prefix << (64 - bits);
   std::uint64_t found = 0;
-  for (const std::uint64_t candidate : BlockObjects(log)) {
+  for (const std::uint64_t candidate : candidates) {
     if ((candidate >> (64 - bits)) << (64 - bits) == wanted) {
       if (found != 0 && found != candidate) {
-        LogError("inspect", "ambiguous prefix '%s'", token.c_str());
+        LogError("inspect", "ambiguous %s prefix '%s'", what, token.c_str());
         return false;
       }
       found = candidate;
     }
   }
   if (found == 0) {
-    LogError("inspect", "no block matches '%s'", token.c_str());
+    LogError("inspect", "no %s matches '%s'", what, token.c_str());
     return false;
   }
-  *object = found;
+  *out = found;
   return true;
+}
+
+// A block hash, prefix, or the literal "head" (the manifest's head_hash).
+bool ResolveObject(const std::string& dir, const ProvenanceLog& log,
+                   std::string token, std::uint64_t* object) {
+  if (token == "head") {
+    JsonValue manifest;
+    const JsonValue* head = LoadManifest(dir, &manifest)
+                                ? manifest.Find("head_hash")
+                                : nullptr;
+    if (head == nullptr || !head->is_string() || head->string.empty()) {
+      LogError("inspect",
+               "cannot resolve 'head': no head_hash in %s/manifest.json",
+               dir.c_str());
+      return false;
+    }
+    token = head->string;
+  }
+  return ResolvePrefix(token, BlockObjects(log), "block", object);
 }
 
 int PrintSummary(const ProvenanceLog& log) {
@@ -306,7 +309,7 @@ int PrintTree(const ProvenanceLog& log, std::uint64_t object) {
     std::printf("%10" PRId64 " %6u %4u %-14s %6u  %s\n",
                 node.first_arrival_us, node.host, node.hop,
                 std::string(EdgeKindName(node.via)).c_str(), node.parent_host,
-                RegionName(log, node.host).c_str());
+                RegionName(log.host_region, node.host).c_str());
   }
   return 0;
 }
@@ -331,7 +334,7 @@ int PrintTimeline(const ProvenanceLog& log, std::uint32_t host) {
     return a.i < b.i;
   });
   std::printf("host %u (%s): %zu edges\n", host,
-              RegionName(log, host).c_str(), rows.size());
+              RegionName(log.host_region, host).c_str(), rows.size());
   for (const Row& row : rows) {
     const std::size_t i = row.i;
     const char* dir = row.outbound ? "->" : "<-";
@@ -374,7 +377,7 @@ int PrintRedundancy(const ProvenanceLog& log, std::size_t top, bool json) {
             : 0.0;
     std::printf("%6u %8" PRIu64 " %10" PRIu64 " %9.1f%% %12" PRIu64 "  %s\n",
                 entry.host, entry.receptions, entry.redundant_receptions, pct,
-                entry.wasted_bytes, RegionName(log, entry.host).c_str());
+                entry.wasted_bytes, RegionName(log.host_region, entry.host).c_str());
   }
   std::printf("total: %zu hosts, %" PRIu64 " receptions, %" PRIu64
               " wasted bytes\n",
@@ -419,7 +422,7 @@ int PrintDegrees(const ProvenanceLog& log, std::size_t top) {
     if (shown++ >= top) break;
     std::printf("%6u %10.2f %8" PRIu64 "  %s\n", estimate.host,
                 estimate.estimated_degree, estimate.blocks,
-                RegionName(log, estimate.host).c_str());
+                RegionName(log.host_region, estimate.host).c_str());
   }
   return 0;
 }
@@ -433,25 +436,14 @@ struct TimeSeriesQuery {
   bool csv = false;
 };
 
-// Minimal JSON string escaping (quotes and backslashes), matching the
-// manifest writer's own rules.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 int PrintWatermarks(const TimeSeriesLog& ts, bool json) {
   if (json) {
     std::printf("{\"watermarks\": [");
     bool first = true;
     for (const SeriesWatermark& mark : ComputeWatermarks(ts)) {
-      std::printf("%s{\"series\": \"%s\", \"peak\": %" PRId64
+      std::printf("%s{\"series\": %s, \"peak\": %" PRId64
                   ", \"at_us\": %" PRId64 "}",
-                  first ? "" : ", ", JsonEscape(mark.series).c_str(),
+                  first ? "" : ", ", JsonString(mark.series).c_str(),
                   mark.peak, mark.at_us);
       first = false;
     }
@@ -516,7 +508,7 @@ int PrintTimeSeries(const std::string& dir, const TimeSeriesLog& ts,
   }
   // Print the executed fault windows next to the stats so an operator can
   // see at a glance whether a peak falls inside an outage.
-  const auto windows = PartitionWindowsFromManifest(dir);
+  const auto windows = PartitionWindows(dir);
   for (std::size_t i = 0; i < windows.size(); ++i)
     std::printf("partition window %zu: %.1f .. %.1f sim-s\n", i,
                 static_cast<double>(windows[i].first) / 1e6,
@@ -544,61 +536,6 @@ int PrintTimeSeries(const std::string& dir, const TimeSeriesLog& ts,
 
 // --- txprov.bin queries -----------------------------------------------------
 
-std::string TxRegionName(const ethsim::obs::TxProvLog& log,
-                         std::uint32_t host) {
-  if (host < log.host_region.size() && log.host_region[host] != 0xff) {
-    return std::string(ethsim::net::RegionShortName(
-        static_cast<ethsim::net::Region>(log.host_region[host])));
-  }
-  return "?";
-}
-
-// Same hex handling as ResolveObject, but matched against the tx column of
-// the lifecycle log (no "head" shorthand — heads are blocks).
-bool ResolveTx(const ethsim::obs::TxProvLog& log, std::string token,
-               std::uint64_t* tx) {
-  if (token.rfind("0x", 0) == 0) token = token.substr(2);
-  if (token.size() > 16) token = token.substr(0, 16);
-  if (token.empty() || token.size() % 2 != 0) {
-    LogError("inspect", "bad tx hash '%s'", token.c_str());
-    return false;
-  }
-  std::uint64_t prefix = 0;
-  for (char c : token) {
-    int nibble;
-    if (c >= '0' && c <= '9') nibble = c - '0';
-    else if (c >= 'a' && c <= 'f') nibble = c - 'a' + 10;
-    else if (c >= 'A' && c <= 'F') nibble = c - 'A' + 10;
-    else {
-      LogError("inspect", "bad hex in '%s'", token.c_str());
-      return false;
-    }
-    prefix = (prefix << 4) | static_cast<std::uint64_t>(nibble);
-  }
-  if (token.size() == 16) {
-    *tx = prefix;
-    return true;
-  }
-  const unsigned bits = static_cast<unsigned>(token.size()) * 4;
-  const std::uint64_t wanted = prefix << (64 - bits);
-  std::uint64_t found = 0;
-  for (const std::uint64_t candidate : log.tx) {
-    if ((candidate >> (64 - bits)) << (64 - bits) == wanted) {
-      if (found != 0 && found != candidate) {
-        LogError("inspect", "ambiguous tx prefix '%s'", token.c_str());
-        return false;
-      }
-      found = candidate;
-    }
-  }
-  if (found == 0) {
-    LogError("inspect", "no transaction matches '%s'", token.c_str());
-    return false;
-  }
-  *tx = found;
-  return true;
-}
-
 int PrintTxTimeline(const ethsim::obs::TxProvLog& log, std::uint64_t tx) {
   using ethsim::obs::TxPoolOutcome;
   using ethsim::obs::TxPoolOutcomeName;
@@ -618,7 +555,7 @@ int PrintTxTimeline(const ethsim::obs::TxProvLog& log, std::uint64_t tx) {
     if (log.tx[i] != tx) continue;
     const auto stage = static_cast<TxStage>(log.stage[i]);
     std::printf("%12" PRId64 " %6u %-6s %-15s  ", log.t_us[i], log.host[i],
-                TxRegionName(log, log.host[i]).c_str(),
+                RegionName(log.host_region, log.host[i]).c_str(),
                 std::string(TxStageName(stage)).c_str());
     switch (stage) {
       case TxStage::kSubmitted:
@@ -692,34 +629,41 @@ std::vector<std::string> SplitSourceRow(const std::string& row) {
 // Per-source demand from the workload extras a plan-driven run folds into
 // its manifest ("workload_source.N" = "name:kind:submitted:included").
 int PrintDemand(const std::string& dir, bool json) {
-  std::string sources;
-  if (!ManifestValue(dir, "workload_sources", &sources)) {
+  JsonValue manifest;
+  const std::string* sources_extra =
+      LoadManifest(dir, &manifest) ? ManifestExtra(manifest, "workload_sources")
+                                   : nullptr;
+  if (sources_extra == nullptr) {
     LogError("inspect",
              "no workload extras in %s/manifest.json (only runs driven by a "
              "non-empty WorkloadPlan record demand data)",
              dir.c_str());
     return 1;
   }
-  std::string submitted, replacements, completed, in_flight;
-  ManifestValue(dir, "workload_submitted", &submitted);
-  ManifestValue(dir, "workload_replacements", &replacements);
-  ManifestValue(dir, "workload_closed_loop_completed", &completed);
-  ManifestValue(dir, "workload_in_flight_end", &in_flight);
+  const auto extra = [&manifest](const std::string& key) {
+    const std::string* value = ManifestExtra(manifest, key);
+    return value != nullptr ? *value : std::string();
+  };
+  const std::string sources = *sources_extra;
+  const std::string submitted = extra("workload_submitted");
+  const std::string replacements = extra("workload_replacements");
+  const std::string completed = extra("workload_closed_loop_completed");
+  const std::string in_flight = extra("workload_in_flight_end");
   const std::size_t count =
       static_cast<std::size_t>(std::strtoull(sources.c_str(), nullptr, 10));
 
   // Collect every row before printing anything: a missing row is a one-line
   // stderr diagnostic and a nonzero exit, never a partial report.
   std::vector<std::vector<std::string>> rows;
-  rows.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    std::string row;
-    if (!ManifestValue(dir, "workload_source." + std::to_string(i), &row)) {
+    const std::string* row =
+        ManifestExtra(manifest, "workload_source." + std::to_string(i));
+    if (row == nullptr) {
       LogError("inspect", "manifest lists %zu sources but workload_source.%zu "
                "is missing", count, i);
       return 1;
     }
-    rows.push_back(SplitSourceRow(row));
+    rows.push_back(SplitSourceRow(*row));
   }
 
   // Numeric extras are decimal strings written by the manifest; emit "0"
@@ -745,10 +689,10 @@ int PrintDemand(const std::string& dir, bool json) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const std::vector<std::string>& fields = rows[i];
     if (json) {
-      std::printf("%s{\"index\": %zu, \"name\": \"%s\", \"kind\": \"%s\", "
+      std::printf("%s{\"index\": %zu, \"name\": %s, \"kind\": %s, "
                   "\"submitted\": %s, \"included\": %s}",
-                  i == 0 ? "" : ", ", i, JsonEscape(fields[0]).c_str(),
-                  JsonEscape(fields[1]).c_str(), num(fields[2]).c_str(),
+                  i == 0 ? "" : ", ", i, JsonString(fields[0]).c_str(),
+                  JsonString(fields[1]).c_str(), num(fields[2]).c_str(),
                   num(fields[3]).c_str());
     } else {
       std::printf("%-4zu %-20s %-12s %12s %12s\n", i, fields[0].c_str(),
@@ -757,6 +701,18 @@ int PrintDemand(const std::string& dir, bool json) {
   }
   if (json) std::printf("]}\n");
   return 0;
+}
+
+// --- run-directory validation -----------------------------------------------
+
+int Validate(const std::string& dir, const std::vector<std::string>& require,
+             const std::vector<std::string>& forbid_nonzero) {
+  const ethsim::obs::ValidationResult result =
+      ethsim::obs::ValidateRunDir(dir, require, forbid_nonzero);
+  for (const std::string& line : result.failures)
+    LogError("validate", "%s", line.c_str());
+  if (result.exit_code() == 0) std::printf("%s: valid\n", dir.c_str());
+  return result.exit_code();
 }
 
 }  // namespace
@@ -774,7 +730,8 @@ int main(int argc, char** argv) {
   bool want_hops = false, want_degree = false, want_summary = false;
   bool want_timeseries = false, want_watermarks = false, want_demand = false;
   bool want_stages = false, by_region = false, by_pool = false;
-  bool json = false;
+  bool json = false, want_validate = false;
+  std::vector<std::string> require, forbid_nonzero;
   TimeSeriesQuery ts_query;
   std::size_t top = 20;
   for (int i = 2; i < argc; ++i) {
@@ -802,6 +759,10 @@ int main(int argc, char** argv) {
     else if (arg == "--by-region") by_region = true;
     else if (arg == "--by-pool") by_pool = true;
     else if (arg == "--json") json = true;
+    else if (arg == "--validate") want_validate = true;
+    else if (arg == "--require") require.push_back(next("--require"));
+    else if (arg == "--forbid-nonzero")
+      forbid_nonzero.push_back(next("--forbid-nonzero"));
     else if (arg == "--series") ts_query.series = next("--series");
     else if (arg == "--from") ts_query.from_s = std::strtod(next("--from"),
                                                             nullptr);
@@ -816,6 +777,12 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (want_validate) return Validate(dir, require, forbid_nonzero);
+  if (!require.empty() || !forbid_nonzero.empty()) {
+    LogError("inspect", "--require / --forbid-nonzero need --validate");
+    return 2;
+  }
+
   // The demand query reads only manifest.json: no binary artifact needed.
   if (want_demand) return PrintDemand(dir, json);
 
@@ -823,18 +790,10 @@ int main(int argc, char** argv) {
   // provenance still answers --tx / --stages.
   if (!tx_token.empty() || want_stages) {
     ethsim::obs::TxProvLog txlog;
-    std::string error;
-    if (!ethsim::obs::TxProvLog::ReadBinary(dir + "/txprov.bin", &txlog,
-                                            &error)) {
-      LogError("inspect",
-               "%s (run the producing tool with ETHSIM_TXPROV=1 to record "
-               "transaction lifecycles)",
-               error.c_str());
-      return 1;
-    }
+    if (!LoadLog(dir, "txprov.bin", "ETHSIM_TXPROV=1", &txlog)) return 1;
     if (!tx_token.empty()) {
       std::uint64_t tx = 0;
-      if (!ResolveTx(txlog, tx_token, &tx)) return 1;
+      if (!ResolvePrefix(tx_token, txlog.tx, "tx", &tx)) return 1;
       return PrintTxTimeline(txlog, tx);
     }
     // Neither breakdown flag = both sections.
@@ -846,27 +805,13 @@ int main(int argc, char** argv) {
   // provenance recording is fully inspectable.
   if (want_timeseries || want_watermarks) {
     TimeSeriesLog ts;
-    std::string error;
-    if (!TimeSeriesLog::ReadBinary(dir + "/timeseries.bin", &ts, &error)) {
-      LogError("inspect",
-               "%s (run the producing tool with ETHSIM_SAMPLE=1 to record "
-               "state series)",
-               error.c_str());
-      return 1;
-    }
+    if (!LoadLog(dir, "timeseries.bin", "ETHSIM_SAMPLE=1", &ts)) return 1;
     if (want_watermarks) return PrintWatermarks(ts, json);
     return PrintTimeSeries(dir, ts, ts_query);
   }
 
   ProvenanceLog log;
-  std::string error;
-  if (!ProvenanceLog::ReadBinary(dir + "/provenance.bin", &log, &error)) {
-    LogError("inspect",
-             "%s (run the producing tool with ETHSIM_PROVENANCE=1 to record "
-             "the edge log)",
-             error.c_str());
-    return 1;
-  }
+  if (!LoadLog(dir, "provenance.bin", "ETHSIM_PROVENANCE=1", &log)) return 1;
 
   // `--block X` implies --tree; `--node X` implies --timeline.
   if (!block_token.empty() && !want_timeline) want_tree = true;
