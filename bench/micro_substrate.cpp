@@ -251,12 +251,13 @@ void BM_GossipBlockBroadcast(benchmark::State& state) {
     g.Seal();
     const chain::BlockPtr genesis = arena.Adopt(std::move(g));
     Rng ids{11};
+    chain::HashInterner hash_ids;
     std::vector<std::unique_ptr<eth::EthNode>> nodes;
     for (int i = 0; i < 64; ++i) {
       const net::HostId host =
           network.AddHost({net::Region::WesternEurope, 1e9});
       nodes.push_back(std::make_unique<eth::EthNode>(
-          simulator, network, host, p2p::RandomNodeId(ids), genesis,
+          simulator, network, hash_ids, host, p2p::RandomNodeId(ids), genesis,
           eth::NodeConfig{}, ids.Fork(static_cast<std::uint64_t>(i))));
     }
     Rng topo{13};
@@ -281,6 +282,80 @@ void BM_GossipBlockBroadcast(benchmark::State& state) {
 }
 BENCHMARK(BM_GossipBlockBroadcast)->Unit(benchmark::kMillisecond);
 
+// Tx relay's hottest path: a hub submits a batch every flush interval and
+// each flush dedupes every (peer, tx) pair against that peer's known_txs
+// cache. The hub has N peers: 25 is Geth's default degree, 150 an observer's.
+// Every cache is filled to its cap before the timed region, so each timed
+// check evicts the oldest entry. The network drops every message at send
+// (drop_prob 1), so no receiver work is timed, and the world is torn down
+// untimed. items/sec == (peer, tx) dedupe checks/sec.
+struct FlushHub {
+  FlushHub(std::size_t peers, const eth::NodeConfig& cfg)
+      : network{simulator, Rng{7}, net::NetworkParams{.drop_prob = 1.0}} {
+    chain::Block g;
+    g.header.difficulty = 1000;
+    g.Seal();
+    const chain::BlockPtr genesis = arena.Adopt(std::move(g));
+    Rng ids{11};
+    for (std::size_t i = 0; i <= peers; ++i) {
+      const net::HostId host =
+          network.AddHost({net::Region::WesternEurope, 1e9});
+      nodes.push_back(std::make_unique<eth::EthNode>(
+          simulator, network, hash_ids, host, p2p::RandomNodeId(ids), genesis,
+          cfg, ids.Fork(i)));
+    }
+    for (std::size_t i = 1; i <= peers; ++i)
+      eth::EthNode::Connect(*nodes[0], *nodes[i]);
+  }
+
+  // Submits txs[begin, end) at the hub, running one flush per kPerFlush.
+  void Submit(const std::vector<chain::Transaction>& txs, std::size_t begin,
+              std::size_t end, Duration flush_interval) {
+    constexpr std::size_t kPerFlush = 16;
+    for (std::size_t i = begin; i < end; ++i) {
+      nodes[0]->SubmitTransaction(txs[i]);
+      if ((i + 1) % kPerFlush == 0)
+        simulator.RunUntil(simulator.Now() + flush_interval);
+    }
+  }
+
+  sim::Simulator simulator;
+  net::Network network;
+  chain::BlockArena arena;
+  chain::HashInterner hash_ids;
+  std::vector<std::unique_ptr<eth::EthNode>> nodes;
+};
+
+void BM_TxGossipFlush(benchmark::State& state) {
+  const auto peers = static_cast<std::size_t>(state.range(0));
+  eth::NodeConfig cfg;
+  cfg.max_peers = peers;
+  const std::size_t fill = cfg.known_txs_cap;
+  std::vector<chain::Transaction> txs;
+  for (std::size_t i = 0; i < 2 * fill; ++i) {
+    Address sender;
+    sender.bytes[0] = static_cast<std::uint8_t>(i % 64);
+    txs.push_back(chain::MakeTransaction(sender, i / 64, Address{}, 1,
+                                         1 + i % 7));
+  }
+  std::unique_ptr<FlushHub> hub;
+  for (auto _ : state) {
+    state.PauseTiming();
+    hub = std::make_unique<FlushHub>(peers, cfg);
+    hub->Submit(txs, 0, fill, cfg.tx_flush_interval);
+    state.ResumeTiming();
+
+    hub->Submit(txs, fill, 2 * fill, cfg.tx_flush_interval);
+
+    state.PauseTiming();
+    hub.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(peers * fill));
+}
+BENCHMARK(BM_TxGossipFlush)->Arg(25)->Arg(150)->Unit(benchmark::kMillisecond);
+
 // Plan-mode workload generation end to end: a mixed plan (Poisson with
 // replace-by-fee, Zipf hot accounts, flash crowd, closed-loop clients) runs
 // 60 sim-seconds against an 8-node fleet with no miners. items/sec ==
@@ -298,13 +373,14 @@ void BM_WorkloadSubmit(benchmark::State& state) {
     g.Seal();
     const chain::BlockPtr genesis = arena.Adopt(std::move(g));
     Rng ids{11};
+    chain::HashInterner hash_ids;
     std::vector<std::unique_ptr<eth::EthNode>> nodes;
     std::vector<eth::EthNode*> frontends;
     for (int i = 0; i < 8; ++i) {
       const net::HostId host =
           network.AddHost({net::Region::WesternEurope, 1e9});
       nodes.push_back(std::make_unique<eth::EthNode>(
-          simulator, network, host, p2p::RandomNodeId(ids), genesis,
+          simulator, network, hash_ids, host, p2p::RandomNodeId(ids), genesis,
           eth::NodeConfig{}, ids.Fork(static_cast<std::uint64_t>(i))));
       frontends.push_back(nodes.back().get());
     }

@@ -59,8 +59,8 @@ void Experiment::Build() {
                       const eth::NodeConfig& node_cfg) -> eth::EthNode* {
     const net::HostId host = net_->AddHost({region, bandwidth});
     nodes_.push_back(std::make_unique<eth::EthNode>(
-        sim_, *net_, host, p2p::RandomNodeId(ids), genesis_, node_cfg,
-        node_rngs.Fork(nodes_.size())));
+        sim_, *net_, gossip_ids_, host, p2p::RandomNodeId(ids), genesis_,
+        node_cfg, node_rngs.Fork(nodes_.size())));
     nodes_.back()->AttachTelemetry(
         telemetry_.get(), static_cast<std::uint32_t>(nodes_.size() - 1));
     return nodes_.back().get();
@@ -240,6 +240,10 @@ void Experiment::RegisterSamplerProbes() {
   s->AddProbe("eth.known.sum", [fleet] {
     return fleet(
         [](const eth::EthNode& n) { return n.known_cache_entries(); }, false);
+  });
+  s->AddProbe("eth.known.bytes.sum", [fleet] {
+    return fleet(
+        [](const eth::EthNode& n) { return n.known_cache_bytes(); }, false);
   });
   s->AddProbe("eth.offline.nodes", [fleet] {
     return fleet([](const eth::EthNode& n) { return n.online() ? 0 : 1; },

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "chain/block_arena.hpp"
+#include "chain/interner.hpp"
 #include "core/config.hpp"
 #include "eth/node.hpp"
 #include "fault/controller.hpp"
@@ -80,6 +81,11 @@ class Experiment {
   // before the node/miner/observer layers so the handles they hold stay
   // valid throughout teardown.
   chain::BlockArena arena_;
+  // Dense ids for every tx and block hash gossiped in this world, shared by
+  // all nodes' known caches (one entry, ~40 B, per distinct hash; never
+  // shrinks). Per world, never process-global: SeedSweepRunner runs worlds on
+  // parallel threads. Declared before nodes_ like arena_, so it outlives them.
+  chain::HashInterner gossip_ids_;
   chain::BlockPtr genesis_ = nullptr;
   // All full nodes: [gateways..., plain..., observers...]. Gateways first so
   // pool p's gateways are contiguous and discoverable by index.

@@ -25,23 +25,18 @@ static_assert(
         static_cast<int>(chain::TxPool::AddOutcome::kRejected));
 
 EthNode::EthNode(sim::Simulator& simulator, net::Network& network,
-                 net::HostId host, p2p::NodeId id, chain::BlockPtr genesis,
-                 NodeConfig config, Rng rng)
+                 chain::HashInterner& hash_ids, net::HostId host,
+                 p2p::NodeId id, chain::BlockPtr genesis, NodeConfig config,
+                 Rng rng)
     : sim_(simulator),
       net_(network),
+      hash_ids_(hash_ids),
       host_(host),
       id_(id),
       config_(config),
       rng_(rng),
       tree_(std::move(genesis)),
-      seen_txs_(config.seen_txs_cap) {
-  // Peer slots are bounded by max_peers; reserving up front keeps Connect from
-  // reallocating the vector. That matters more than it looks: BoundedSet holds
-  // a deque, whose libstdc++ move constructor is not noexcept, so vector
-  // growth copies every existing peer's known-block/known-tx sets instead of
-  // moving them.
-  peers_.reserve(config_.max_peers);
-}
+      seen_txs_(config.seen_txs_cap) {}
 
 net::Region EthNode::region() const { return net_.host(host_).region; }
 
@@ -109,8 +104,8 @@ bool EthNode::AddPeer(EthNode* node) {
   if (node == nullptr || node == this) return false;
   if (peers_.size() >= config_.max_peers) return false;
   if (FindPeer(node) != nullptr) return false;
-  peers_.push_back(Peer{node, BoundedSet<Hash32>(config_.known_blocks_cap),
-                        BoundedSet<Hash32>(config_.known_txs_cap)});
+  peers_.push_back(Peer{node, FifoIdSet(config_.known_blocks_cap),
+                        FifoIdSet(config_.known_txs_cap)});
   return true;
 }
 
@@ -197,7 +192,7 @@ EthNode::Peer* EthNode::FindPeer(const EthNode* node) {
 }
 
 void EthNode::MarkKnowsBlock(EthNode* from, const Hash32& hash) {
-  if (Peer* p = FindPeer(from)) p->known_blocks.Insert(hash);
+  if (Peer* p = FindPeer(from)) p->known_blocks.Insert(hash_ids_.Intern(hash));
 }
 
 void EthNode::RecordChainEdit(const chain::BlockTree::AddResult& result,
@@ -229,7 +224,7 @@ void EthNode::RecordChainEdit(const chain::BlockTree::AddResult& result,
 
 void EthNode::SubmitTransaction(const chain::Transaction& tx) {
   if (!online_) return;  // a crashed node accepts no local submissions
-  if (!seen_txs_.Insert(tx.hash)) return;
+  if (!seen_txs_.Insert(hash_ids_.Intern(tx.hash))) return;
   const auto outcome = pool_.Add(tx);
   if (txprov_ != nullptr) [[unlikely]]
     txprov_->RecordPoolOutcome(host_, tx.hash, sim_.Now().micros(),
@@ -345,7 +340,7 @@ void EthNode::DeliverGetBlock(EthNode* from, const Hash32& hash) {
   if (DropIngress(obs::MsgKind::kGetBlock)) [[unlikely]] return;
   const chain::BlockPtr block = tree_.Get(hash);
   if (!block) return;  // pruned/unknown; requester will hear it elsewhere
-  if (Peer* p = FindPeer(from)) p->known_blocks.Insert(hash);
+  MarkKnowsBlock(from, hash);
   if (prov_ != nullptr) [[unlikely]]
     prov_->StageBlockEdge(host_, from->host(), obs::EdgeKind::kBlockResponse,
                           block->hash, block->header.number,
@@ -365,8 +360,9 @@ void EthNode::DeliverTransactions(EthNode* from, const TxBatchView& batch) {
     tx_received_count_->Add(batch.count());
   const auto process = [&](const chain::Transaction& tx) {
     if (sink_ != nullptr) sink_->OnTransactionMessage(tx);
-    if (peer != nullptr) peer->known_txs.Insert(tx.hash);
-    if (!seen_txs_.Insert(tx.hash)) return;
+    const FifoIdSet::Id id = hash_ids_.Intern(tx.hash);
+    if (peer != nullptr) peer->known_txs.Insert(id);
+    if (!seen_txs_.Insert(id)) return;
     // Post-dedupe = this node's first reception of the transaction. The
     // recorder filters to vantage hosts itself.
     if (txprov_ != nullptr) [[unlikely]]
@@ -535,25 +531,24 @@ void EthNode::PushToSqrtPeers(const chain::BlockPtr& block) {
   for (std::size_t i = relay_order_.size(); i > 1; --i)
     std::swap(relay_order_[i - 1], relay_order_[rng_.NextBounded(i)]);
 
+  const FifoIdSet::Id id = hash_ids_.Intern(block->hash);
   std::size_t pushed = 0;
   for (const std::uint32_t idx : relay_order_) {
     if (pushed == want) break;
     Peer& peer = peers_[idx];
-    if (peer.known_blocks.Contains(block->hash)) continue;
+    if (!peer.known_blocks.Insert(id)) continue;
     SendNewBlock(peer, block);
     ++pushed;
   }
 }
 
 void EthNode::AnnounceToOtherPeers(const chain::BlockPtr& block) {
-  for (Peer& peer : peers_) {
-    if (peer.known_blocks.Contains(block->hash)) continue;
-    SendAnnouncement(peer, block);
-  }
+  const FifoIdSet::Id id = hash_ids_.Intern(block->hash);
+  for (Peer& peer : peers_)
+    if (peer.known_blocks.Insert(id)) SendAnnouncement(peer, block);
 }
 
 void EthNode::SendNewBlock(Peer& peer, const chain::BlockPtr& block) {
-  peer.known_blocks.Insert(block->hash);
   EthNode* target = peer.node;
   if (prov_ != nullptr) [[unlikely]]
     prov_->StageBlockEdge(host_, target->host(), obs::EdgeKind::kNewBlock,
@@ -566,7 +561,6 @@ void EthNode::SendNewBlock(Peer& peer, const chain::BlockPtr& block) {
 }
 
 void EthNode::SendAnnouncement(Peer& peer, const chain::BlockPtr& block) {
-  peer.known_blocks.Insert(block->hash);
   EthNode* target = peer.node;
   if (prov_ != nullptr) [[unlikely]]
     prov_->StageBlockEdge(host_, target->host(), obs::EdgeKind::kAnnouncement,
@@ -615,15 +609,18 @@ void EthNode::FlushTxBroadcast() {
     tx_tracer_->Emit(event);
   }
 
+  // Intern the batch once; each peer then pays one Insert per tx, which
+  // returns false for a tx the peer already knows.
+  flush_ids_.clear();
+  for (const auto& tx : queue) flush_ids_.push_back(hash_ids_.Intern(tx.hash));
+
   for (Peer& peer : peers_) {
     flush_subset_.clear();
     std::size_t bytes = kTxBatchOverhead;
     for (std::uint32_t i = 0; i < queue.size(); ++i) {
-      const auto& tx = queue[i];
-      if (peer.known_txs.Contains(tx.hash)) continue;
-      peer.known_txs.Insert(tx.hash);
+      if (!peer.known_txs.Insert(flush_ids_[i])) continue;
       flush_subset_.push_back(i);
-      bytes += tx.EncodedSize();
+      bytes += queue[i].EncodedSize();
     }
     if (flush_subset_.empty()) continue;
     TxBatchView view;

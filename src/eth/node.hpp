@@ -6,18 +6,21 @@
 //                     have a transaction
 // Each node owns its private view of the chain (BlockTree) and a TxPool, and
 // tracks per-peer known-block/known-tx caches exactly like Geth's
-// peer.knownBlocks/knownTxs.
+// peer.knownBlocks/knownTxs. The caches hold 32-bit ids from one
+// chain::HashInterner shared by every node of a world.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
 #include "chain/blocktree.hpp"
+#include "chain/interner.hpp"
 #include "chain/txpool.hpp"
-#include "common/bounded_set.hpp"
+#include "common/fifo_id_set.hpp"
 #include "common/random.hpp"
 #include "common/time.hpp"
 #include "eth/sink.hpp"
@@ -71,7 +74,8 @@ struct NodeConfig {
   double validation_speed_factor = 1.0;
   // Per-peer known caches only need to span the propagation window (relay
   // dedupe happens within seconds); small caps keep memory flat on
-  // day-scale simulations with thousands of peer links.
+  // day-scale simulations with thousands of peer links. A full cache costs
+  // 12 B per entry at these power-of-two caps (common/fifo_id_set.hpp).
   std::size_t known_txs_cap = 1024;
   std::size_t known_blocks_cap = 256;
   // Node-level seen-tx horizon (admission dedupe) can be longer.
@@ -84,8 +88,12 @@ struct NodeConfig {
 
 class EthNode {
  public:
-  EthNode(sim::Simulator& simulator, net::Network& network, net::HostId host,
-          p2p::NodeId id, chain::BlockPtr genesis, NodeConfig config, Rng rng);
+  // `hash_ids` interns every gossiped tx and block hash for the known caches.
+  // One interner serves a whole world and must outlive its nodes (the
+  // BlockArena contract); worlds on parallel threads each own their own.
+  EthNode(sim::Simulator& simulator, net::Network& network,
+          chain::HashInterner& hash_ids, net::HostId host, p2p::NodeId id,
+          chain::BlockPtr genesis, NodeConfig config, Rng rng);
 
   EthNode(const EthNode&) = delete;
   EthNode& operator=(const EthNode&) = delete;
@@ -152,6 +160,15 @@ class EthNode {
       total += peer.known_blocks.size() + peer.known_txs.size();
     return total;
   }
+  // Heap bytes those caches hold (rings plus indexes), for the sampler's
+  // byte-accounting probe.
+  std::size_t known_cache_bytes() const {
+    std::size_t total = seen_txs_.allocated_bytes();
+    for (const Peer& peer : peers_)
+      total += peer.known_blocks.allocated_bytes() +
+               peer.known_txs.allocated_bytes();
+    return total;
+  }
   // Blocks rejected by consensus validation at import.
   std::uint64_t invalid_blocks() const { return invalid_blocks_; }
 
@@ -166,9 +183,12 @@ class EthNode {
  private:
   struct Peer {
     EthNode* node = nullptr;
-    BoundedSet<Hash32> known_blocks;
-    BoundedSet<Hash32> known_txs;
+    FifoIdSet known_blocks;
+    FifoIdSet known_txs;
   };
+  // peers_ grows and erases by moving Peers; a throwing move would make the
+  // vector copy every cache on growth instead.
+  static_assert(std::is_nothrow_move_constructible_v<Peer>);
 
   Peer* FindPeer(const EthNode* node);
   void MarkKnowsBlock(EthNode* from, const Hash32& hash);
@@ -200,6 +220,7 @@ class EthNode {
   void QueueTxForBroadcast(const chain::Transaction& tx);
   void FlushTxBroadcast();
 
+  // Callers mark the block known to `peer` first.
   void SendNewBlock(Peer& peer, const chain::BlockPtr& block);
   void SendAnnouncement(Peer& peer, const chain::BlockPtr& block);
 
@@ -210,6 +231,7 @@ class EthNode {
 
   sim::Simulator& sim_;
   net::Network& net_;
+  chain::HashInterner& hash_ids_;
   net::HostId host_;
   p2p::NodeId id_;
   NodeConfig config_;
@@ -219,7 +241,7 @@ class EthNode {
   chain::TxPool pool_;
   std::vector<Peer> peers_;
 
-  BoundedSet<Hash32> seen_txs_;
+  FifoIdSet seen_txs_;
   std::unordered_set<Hash32> importing_;  // full block received, pre-import
   std::unordered_set<Hash32> requested_;  // GetBlock in flight
 
@@ -237,6 +259,7 @@ class EthNode {
   // Scratch buffers reused across relay rounds (no per-call allocations).
   std::vector<std::uint32_t> relay_order_;   // PushToSqrtPeers shuffle
   std::vector<std::uint32_t> flush_subset_;  // FlushTxBroadcast per-peer filter
+  std::vector<FifoIdSet::Id> flush_ids_;     // FlushTxBroadcast batch ids
 
   MessageSink* sink_ = nullptr;
   std::function<void(chain::BlockPtr)> on_new_head_;

@@ -32,6 +32,13 @@ obs::EdgeDrop ToEdgeDrop(DropReason reason) {
   return obs::EdgeDrop::kNone;
 }
 
+// Home slot of a FIFO pair key in a table of 1 << bits slots (Fibonacci
+// hashing: the top bits of key * 2^64/phi).
+std::size_t PairHome(std::uint64_t key, unsigned bits) {
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >>
+                                  (64 - bits));
+}
+
 }  // namespace
 
 Network::Network(sim::Simulator& simulator, Rng rng, NetworkParams params)
@@ -39,7 +46,6 @@ Network::Network(sim::Simulator& simulator, Rng rng, NetworkParams params)
 
 HostId Network::AddHost(HostSpec spec) {
   hosts_.push_back(spec);
-  fifo_last_us_.emplace_back();  // per-destination row, grown on first send
   return static_cast<HostId>(hosts_.size() - 1);
 }
 
@@ -167,6 +173,35 @@ void Network::NoteOfflineDrop(obs::MsgKind kind, Region target_region) {
   CountDrop(kind, target_region, DropReason::kOffline);
 }
 
+std::int64_t& Network::FifoLastUs(HostId from, HostId to) {
+  if (2 * fifo_pairs_ >= fifo_slots_.size()) GrowFifo();
+  const std::uint64_t key = (std::uint64_t{from} << 32) | to;
+  const std::size_t mask = fifo_slots_.size() - 1;
+  std::size_t slot = PairHome(key, fifo_bits_);
+  while (fifo_slots_[slot].last_us != kNeverSent &&
+         fifo_slots_[slot].key != key)
+    slot = (slot + 1) & mask;
+  FifoSlot& entry = fifo_slots_[slot];
+  if (entry.last_us == kNeverSent) {
+    entry.key = key;
+    ++fifo_pairs_;
+  }
+  return entry.last_us;
+}
+
+void Network::GrowFifo() {
+  const std::vector<FifoSlot> old = std::move(fifo_slots_);
+  fifo_bits_ = old.empty() ? 6 : fifo_bits_ + 1;
+  fifo_slots_.assign(std::size_t{1} << fifo_bits_, FifoSlot{});
+  const std::size_t mask = fifo_slots_.size() - 1;
+  for (const FifoSlot& entry : old) {
+    if (entry.last_us == kNeverSent) continue;
+    std::size_t slot = PairHome(entry.key, fifo_bits_);
+    while (fifo_slots_[slot].last_us != kNeverSent) slot = (slot + 1) & mask;
+    fifo_slots_[slot] = entry;
+  }
+}
+
 void Network::Send(HostId from, HostId to, std::size_t bytes,
                    obs::MsgKind kind, sim::EventFn deliver) {
   // Partition gate first: deterministic (no RNG), so an armed partition
@@ -209,9 +244,7 @@ void Network::Send(HostId from, HostId to, std::size_t bytes,
   const Duration delay = SampleDelay(from, to, bytes);
   TimePoint arrival = sim_.Now() + delay;
 
-  std::vector<std::int64_t>& row = fifo_last_us_[from];
-  if (row.size() <= to) row.resize(hosts_.size(), kNeverSent);
-  std::int64_t& last_us = row[to];
+  std::int64_t& last_us = FifoLastUs(from, to);
   // TCP stream semantics: a later send on the same connection can never
   // arrive before an earlier one.
   if (last_us != kNeverSent && arrival.micros() < last_us)

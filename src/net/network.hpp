@@ -180,12 +180,25 @@ class Network {
   Rng rng_;
   NetworkParams params_;
   std::vector<HostSpec> hosts_;
-  // Last scheduled delivery time per directed pair, for FIFO clamping.
-  // One dense row per source host, indexed by destination and grown lazily on
-  // first send — a single array load on the hot path instead of a hash-map
-  // probe per message. kNeverSent marks pairs with no traffic yet.
+  // Last scheduled delivery time per directed host pair, for FIFO clamping:
+  // an insert-only open-addressed map keyed by (from << 32) | to and kept at
+  // most half full, so it grows with the pairs that ever talked (32-64 B
+  // each), not with hosts^2. Pairs are never erased: a block response can
+  // target a requester that has since disconnected, and a pair that
+  // reconnects must still queue behind a message in flight from its old
+  // session. A slot holding kNeverSent is empty, so an absent pair reads as
+  // "no traffic yet".
   static constexpr std::int64_t kNeverSent = INT64_MIN;
-  std::vector<std::vector<std::int64_t>> fifo_last_us_;
+  struct FifoSlot {
+    std::uint64_t key = 0;
+    std::int64_t last_us = kNeverSent;
+  };
+  // The pair's slot, claimed on first use; the caller stores the arrival.
+  std::int64_t& FifoLastUs(HostId from, HostId to);
+  void GrowFifo();
+  std::vector<FifoSlot> fifo_slots_;
+  std::size_t fifo_pairs_ = 0;
+  unsigned fifo_bits_ = 0;  // fifo_slots_.size() == 1 << fifo_bits_
 
   // Always-on drop census (cold path: only touched when a message drops),
   // indexed [reason][kind][source region].

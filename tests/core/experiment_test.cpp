@@ -106,6 +106,24 @@ TEST(ExperimentTest, DefaultPeersPresetUsesOneVantageAt25Peers) {
   EXPECT_EQ(exp.observers()[0]->node()->peer_count(), 25u);
 }
 
+// Summed known_cache_entries() of the fleet below, as produced by the
+// hash-keyed caches the id-based ones replaced.
+constexpr std::size_t kPinnedKnownEntries = 3'043'749;
+
+TEST(ExperimentTest, KnownCacheEntriesMatchPinnedFleetSum) {
+  // At the paper's 7.9 tx/s every known_txs cache reaches its cap and
+  // evicts, so a change to the caches' eviction or size accounting moves
+  // this sum even where the digest happens not to move.
+  ExperimentConfig cfg = presets::SmallStudy(40);
+  cfg.duration = Duration::Minutes(5);
+  cfg.workload.rate_per_sec = 7.9;
+  Experiment exp{cfg};
+  exp.Run();
+  std::size_t known = 0;
+  for (const auto& node : exp.nodes()) known += node->known_cache_entries();
+  EXPECT_EQ(known, kPinnedKnownEntries);
+}
+
 TEST(ExperimentTest, RunIsIdempotent) {
   Experiment exp{TinyConfig()};
   exp.Run();

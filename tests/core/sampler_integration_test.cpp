@@ -79,8 +79,8 @@ TEST(StateSamplerIntegration, RecordsConfiguredCadenceWithBaselineRow) {
        {"sim.queue.pending", "sim.arena.slots", "net.inflight.msgs",
         "net.inflight.bytes", "txpool.pending.sum", "txpool.heads.sum",
         "chain.blocks.max", "chain.interner.load_permille.max",
-        "eth.peers.sum", "eth.known.sum", "miner.blocks_found",
-        "miner.gateways.online"})
+        "eth.peers.sum", "eth.known.sum", "eth.known.bytes.sum",
+        "miner.blocks_found", "miner.gateways.online"})
     EXPECT_NE(log.Find(name), obs::TimeSeriesLog::npos) << name;
   // No fault controller configured -> no fault series (series table is a
   // function of config, so the artifact shape stays seed-independent).

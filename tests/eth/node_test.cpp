@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -58,9 +59,9 @@ struct Cluster {
     Rng ids{7};
     for (std::size_t i = 0; i < n; ++i) {
       const net::HostId host = net->AddHost({region, 1e9});
-      nodes.push_back(std::make_unique<EthNode>(simulator, *net, host,
-                                                p2p::RandomNodeId(ids), genesis,
-                                                cfg, ids.Fork(i)));
+      nodes.push_back(std::make_unique<EthNode>(simulator, *net, hash_ids,
+                                                host, p2p::RandomNodeId(ids),
+                                                genesis, cfg, ids.Fork(i)));
     }
   }
 
@@ -78,6 +79,7 @@ struct Cluster {
   sim::Simulator simulator;
   std::unique_ptr<net::Network> net;
   chain::BlockPtr genesis;
+  chain::HashInterner hash_ids;
   std::vector<std::unique_ptr<EthNode>> nodes;
 };
 
@@ -100,6 +102,18 @@ TEST(EthNodeConnect, MaxPeersEnforced) {
   EXPECT_FALSE(EthNode::Connect(*c.nodes[0], *c.nodes[3]));
   EXPECT_EQ(c.nodes[0]->peer_count(), 2u);
   EXPECT_EQ(c.nodes[3]->peer_count(), 0u);
+}
+
+TEST(EthNodeConnect, UnlimitedMaxPeersConstructsAndConnects) {
+  // The paper's vantages ran with no peer limit; SIZE_MAX must mean exactly
+  // that, not a vector reservation the allocator cannot honour.
+  NodeConfig cfg;
+  cfg.max_peers = SIZE_MAX;
+  Cluster c{4, cfg};
+  for (std::size_t i = 1; i < 4; ++i)
+    EXPECT_TRUE(EthNode::Connect(*c.nodes[0], *c.nodes[i]));
+  EXPECT_EQ(c.nodes[0]->peer_count(), 3u);
+  EXPECT_EQ(c.nodes[0]->max_peers(), SIZE_MAX);
 }
 
 TEST(EthNodeBlocks, MinedBlockReachesAllNodes) {
@@ -352,12 +366,14 @@ TEST(EthNodeFaults, GossipSurvivesMessageLoss) {
   net::Network network{simulator, Rng{99}, lossy};
   chain::BlockPtr genesis = MakeGenesis();
   Rng ids{7};
+  chain::HashInterner hash_ids;
   std::vector<std::unique_ptr<EthNode>> nodes;
   for (int i = 0; i < 16; ++i) {
     const net::HostId host = network.AddHost({net::Region::WesternEurope, 1e9});
-    nodes.push_back(std::make_unique<EthNode>(simulator, network, host,
-                                              p2p::RandomNodeId(ids), genesis,
-                                              NodeConfig{}, ids.Fork(i)));
+    nodes.push_back(std::make_unique<EthNode>(simulator, network, hash_ids,
+                                              host, p2p::RandomNodeId(ids),
+                                              genesis, NodeConfig{},
+                                              ids.Fork(i)));
   }
   for (std::size_t i = 0; i < nodes.size(); ++i)
     for (std::size_t j = i + 1; j < nodes.size(); ++j)

@@ -42,7 +42,7 @@ struct ObserverFixture : ::testing::Test {
       const net::HostId host = net->AddHost({net::Region::WesternEurope, 1e9});
       Rng ids{static_cast<std::uint64_t>(i) + 10};
       nodes.push_back(std::make_unique<eth::EthNode>(
-          simulator, *net, host, p2p::RandomNodeId(ids), genesis,
+          simulator, *net, hash_ids, host, p2p::RandomNodeId(ids), genesis,
           eth::NodeConfig{}, Rng{static_cast<std::uint64_t>(i) + 50}));
     }
     for (std::size_t i = 0; i < 3; ++i)
@@ -53,6 +53,7 @@ struct ObserverFixture : ::testing::Test {
   sim::Simulator simulator;
   std::unique_ptr<net::Network> net;
   chain::BlockPtr genesis;
+  chain::HashInterner hash_ids;
   std::vector<std::unique_ptr<eth::EthNode>> nodes;
 };
 
@@ -142,7 +143,7 @@ TEST_F(ObserverFixture, DistinguishesMessageKinds) {
     const net::HostId host = net->AddHost({net::Region::WesternEurope, 1e9});
     Rng ids{static_cast<std::uint64_t>(i) + 400};
     nodes.push_back(std::make_unique<eth::EthNode>(
-        simulator, *net, host, p2p::RandomNodeId(ids), genesis,
+        simulator, *net, hash_ids, host, p2p::RandomNodeId(ids), genesis,
         eth::NodeConfig{}, Rng{static_cast<std::uint64_t>(i) + 900}));
   }
   for (std::size_t i = 0; i < nodes.size(); ++i)

@@ -44,10 +44,9 @@ struct MiningFixture : ::testing::Test {
   eth::EthNode* AddNode(net::Region region) {
     const net::HostId host = net->AddHost({region, 1e9});
     Rng ids{static_cast<std::uint64_t>(nodes.size()) + 1000};
-    nodes.push_back(std::make_unique<eth::EthNode>(simulator, *net, host,
-                                                   p2p::RandomNodeId(ids),
-                                                   genesis, eth::NodeConfig{},
-                                                   Rng{nodes.size() + 77}));
+    nodes.push_back(std::make_unique<eth::EthNode>(
+        simulator, *net, hash_ids, host, p2p::RandomNodeId(ids), genesis,
+        eth::NodeConfig{}, Rng{nodes.size() + 77}));
     return nodes.back().get();
   }
 
@@ -79,6 +78,7 @@ struct MiningFixture : ::testing::Test {
   sim::Simulator simulator;
   std::unique_ptr<net::Network> net;
   chain::BlockPtr genesis;
+  chain::HashInterner hash_ids;
   std::vector<std::unique_ptr<eth::EthNode>> nodes;
   MiningParams params;
 };

@@ -94,6 +94,32 @@ TEST_F(NetworkFixture, FifoOrderPerDirectedPair) {
   for (int i = 0; i < 50; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
+TEST_F(NetworkFixture, FifoClampSurvivesPairTableGrowth) {
+  // Every directed pair of 40 hosts sends a 100 KB message (100 ms at 1 MB/s),
+  // then a tiny one. The 1,560 first sends grow the clamp table through
+  // several rehashes before any second send looks its pair up again, and
+  // each tiny message must still queue behind its pair's large one.
+  constexpr HostId kHosts = 40;
+  for (HostId h = 0; h < kHosts; ++h) net.AddHost({Region::WesternEurope, 8e6});
+  std::vector<int> delivered(kHosts * kHosts, 0);
+  int out_of_order = 0;
+  for (int k = 0; k < 2; ++k)
+    for (HostId from = 0; from < kHosts; ++from)
+      for (HostId to = 0; to < kHosts; ++to) {
+        if (from == to) continue;
+        net.Send(from, to, k == 0 ? 100'000 : 100,
+                 [&, pair = from * kHosts + to, k] {
+                   if (delivered[pair] != k) ++out_of_order;
+                   delivered[pair] = k + 1;
+                 });
+      }
+  simulator.RunAll();
+  EXPECT_EQ(out_of_order, 0);
+  for (HostId from = 0; from < kHosts; ++from)
+    for (HostId to = 0; to < kHosts; ++to)
+      EXPECT_EQ(delivered[from * kHosts + to], from == to ? 0 : 2);
+}
+
 TEST_F(NetworkFixture, IndependentPairsMayInterleave) {
   // FIFO applies per-pair only; a message on a fast pair sent after a slow
   // pair's message can still arrive first.

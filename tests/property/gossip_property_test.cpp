@@ -49,9 +49,9 @@ struct World {
     for (std::size_t i = 0; i < n; ++i) {
       const net::HostId host =
           network->AddHost({net::Region::WesternEurope, 1e9});
-      nodes.push_back(std::make_unique<EthNode>(simulator, *network, host,
-                                                p2p::RandomNodeId(ids), genesis,
-                                                cfg, ids.Fork(i)));
+      nodes.push_back(std::make_unique<EthNode>(
+          simulator, *network, hash_ids, host, p2p::RandomNodeId(ids),
+          genesis, cfg, ids.Fork(i)));
     }
     // Connected topology: ring backbone + random chords up to `degree`.
     for (std::size_t i = 0; i < n; ++i)
@@ -68,6 +68,7 @@ struct World {
   sim::Simulator simulator;
   std::unique_ptr<net::Network> network;
   chain::BlockPtr genesis;
+  chain::HashInterner hash_ids;
   std::vector<std::unique_ptr<EthNode>> nodes;
 };
 

@@ -46,7 +46,7 @@ struct Harness {
       const net::HostId host =
           net->AddHost({net::Region::WesternEurope, 1e9});
       nodes.push_back(std::make_unique<eth::EthNode>(
-          simulator, *net, host, p2p::RandomNodeId(ids), genesis,
+          simulator, *net, hash_ids, host, p2p::RandomNodeId(ids), genesis,
           eth::NodeConfig{}, ids.Fork(i)));
     }
   }
@@ -65,6 +65,7 @@ struct Harness {
   sim::Simulator simulator;
   std::unique_ptr<net::Network> net;
   chain::BlockPtr genesis;
+  chain::HashInterner hash_ids;
   std::vector<std::unique_ptr<eth::EthNode>> nodes;
   std::unique_ptr<WorkloadGenerator> generator;
 };
