@@ -13,6 +13,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "chain/block_arena.hpp"
 #include "chain/blocktree.hpp"
@@ -214,20 +216,23 @@ void BM_BlockTreeReorgChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockTreeReorgChurn)->Arg(400);
 
+// One iterative FindNode lookup from a 3-bootstrap local table, in a world
+// of range(0) nodes whose full tables are one Registry built outside the
+// timed loop (as Experiment::BuildTopology queries it).
 void BM_KademliaLookup(benchmark::State& state) {
   Rng rng{3};
+  const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<p2p::NodeId> ids;
-  for (int i = 0; i < 500; ++i) ids.push_back(p2p::RandomNodeId(rng));
-  std::unordered_map<Hash32, p2p::RoutingTable> tables;
-  for (const auto& id : ids) {
-    p2p::RoutingTable t{id};
-    for (const auto& other : ids) t.Add(other);
-    tables.emplace(id, std::move(t));
+  std::unordered_map<Hash32, std::size_t> index_of;
+  for (std::size_t i = 0; i < n; ++i) {
+    ids.push_back(p2p::RandomNodeId(rng));
+    index_of.emplace(ids.back(), i);
   }
+  const p2p::Registry registry{ids};
   p2p::RoutingTable local{p2p::RandomNodeId(rng)};
   for (int i = 0; i < 3; ++i) local.Add(ids[static_cast<std::size_t>(i)]);
   const auto query = [&](const p2p::NodeId& n, const p2p::NodeId& t) {
-    return tables.at(n).Closest(t, p2p::kBucketSize);
+    return registry.Closest(index_of.at(n), t, p2p::kBucketSize);
   };
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -235,7 +240,23 @@ void BM_KademliaLookup(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_KademliaLookup);
+BENCHMARK(BM_KademliaLookup)->Arg(500)->Arg(5'000);
+
+// Building the Registry (sort, trie, first-16 lists) from range(0) ids;
+// items/sec = ids/sec.
+void BM_RegistryBuild(benchmark::State& state) {
+  Rng rng{5};
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<p2p::NodeId> ids;
+  for (std::size_t i = 0; i < n; ++i) ids.push_back(p2p::RandomNodeId(rng));
+  for (auto _ : state) {
+    const p2p::Registry registry{ids};
+    benchmark::DoNotOptimize(registry.bytes());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_RegistryBuild)->Arg(5'000)->Unit(benchmark::kMillisecond);
 
 // Full gossip round: one mined block disseminated through a 64-node mesh.
 void BM_GossipBlockBroadcast(benchmark::State& state) {

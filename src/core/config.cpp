@@ -2,6 +2,21 @@
 
 namespace ethsim::core {
 
+namespace {
+
+// Each weight >= 0 (NaN fails) and a positive total: what AliasSampler
+// needs.
+bool UsableWeights(const std::vector<double>& weights) {
+  double total = 0;
+  for (const double w : weights) {
+    if (!(w >= 0)) return false;
+    total += w;
+  }
+  return total > 0;
+}
+
+}  // namespace
+
 std::string ExperimentConfig::Validate() const {
   // Probabilities feed Rng::NextBool unchecked: a negative value silently
   // never fires, > 1 always fires — both are config bugs, not models.
@@ -19,6 +34,29 @@ std::string ExperimentConfig::Validate() const {
     return "net.drop_prob must be in [0, 1]";
   if (net_params.slow_path_prob < 0 || net_params.slow_path_prob > 1)
     return "net.slow_path_prob must be in [0, 1]";
+  // Alias tables (block winner, release gateway, node region) sample from
+  // NaN unless their weights pass UsableWeights.
+  if (pools.empty()) return "pools must not be empty";
+  std::vector<double> shares;
+  std::size_t nodes = peer_nodes + vantages.size();
+  for (const miner::PoolSpec& pool : pools) {
+    if (pool.gateways.empty())
+      return "pool " + pool.name + " needs at least one gateway";
+    std::vector<double> weights;
+    for (const miner::GatewaySpec& gw : pool.gateways)
+      weights.push_back(gw.weight);
+    if (!UsableWeights(weights))
+      return "pool " + pool.name +
+             ": gateway weights must be >= 0 and not all zero";
+    shares.push_back(pool.hashrate_share);
+    nodes += pool.gateways.size();
+  }
+  if (!UsableWeights(shares))
+    return "pools: hashrate_share must be >= 0 and not all zero";
+  if (!UsableWeights(
+          {node_region_weights.begin(), node_region_weights.end()}))
+    return "node_region_weights must be >= 0 and not all zero";
+  if (nodes < 2) return "the overlay needs at least 2 nodes";
   if (!workload_plan.empty()) {
     if (std::string problem = workload_plan.Validate(); !problem.empty())
       return "workload_plan: " + problem;

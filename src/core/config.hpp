@@ -98,9 +98,11 @@ struct ExperimentConfig {
 
   // Structural validation of everything a run would otherwise only trip over
   // mid-simulation: probabilities outside [0, 1] (they flow straight into
-  // Rng::NextBool), negative rates/means, and malformed workload/fault
-  // plans. Returns an empty string when well-formed, else a description of
-  // the first violation. Experiment::Build() rejects invalid configs.
+  // Rng::NextBool), negative rates/means, malformed workload/fault plans,
+  // no pools, a pool without gateways, share/weight vectors with a negative
+  // entry or no positive one, and fewer than 2 nodes. Returns an empty
+  // string when well-formed, else a description of the first violation.
+  // Experiment::Build() rejects invalid configs.
   std::string Validate() const;
 };
 

@@ -314,24 +314,19 @@ void Experiment::BuildTopology(Rng rng) {
   const std::size_t n = nodes_.size();
   assert(n >= 2);
 
-  std::unordered_map<Hash32, eth::EthNode*> by_id;
+  std::unordered_map<Hash32, std::size_t> index_of;
   std::vector<p2p::NodeId> all_ids;
   all_ids.reserve(n);
-  for (const auto& node : nodes_) {
-    by_id.emplace(node->id(), node.get());
-    all_ids.push_back(node->id());
+  for (std::size_t i = 0; i < n; ++i) {
+    index_of.emplace(nodes_[i]->id(), i);
+    all_ids.push_back(nodes_[i]->id());
   }
 
-  // Full registry tables (the steady-state content of a long-running
-  // discovery daemon).
-  std::unordered_map<Hash32, p2p::RoutingTable> tables;
-  for (const auto& id : all_ids) {
-    p2p::RoutingTable table{id};
-    for (const auto& other : all_ids) table.Add(other);
-    tables.emplace(id, std::move(table));
-  }
+  // Every node's full table (the steady-state content of a long-running
+  // discovery daemon), held once; freed when the build returns.
+  const p2p::Registry registry{all_ids};
   const auto query = [&](const p2p::NodeId& node, const p2p::NodeId& target) {
-    return tables.at(node).Closest(target, p2p::kBucketSize);
+    return registry.Closest(index_of.at(node), target, p2p::kBucketSize);
   };
 
   const std::size_t observer_start = n - observers_.size();
@@ -372,7 +367,7 @@ void Experiment::BuildTopology(Rng rng) {
       for (const auto& candidate : found) {
         if (dialed >= want_dials) break;
         if (candidate == node.id() || !dialable(candidate)) continue;
-        eth::EthNode* other = by_id.at(candidate);
+        eth::EthNode* other = nodes_[index_of.at(candidate)].get();
         if (eth::EthNode::Connect(node, *other)) ++dialed;
         local.Add(candidate);
       }

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <vector>
 
+#include "obs/progress.hpp"
+
 namespace ethsim::obs {
 
 namespace {
@@ -100,11 +102,7 @@ void LogInfo(const char* component, const char* fmt, ...) {
 }
 
 bool ProgressEnabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("ETHSIM_PROGRESS");
-    return env != nullptr && env[0] != '\0' &&
-           !(env[0] == '0' && env[1] == '\0');
-  }();
+  static const bool enabled = ProgressConfig::FromEnv().enabled;
   return enabled;
 }
 

@@ -46,7 +46,8 @@ void LogInfo(const char* component, const char* fmt, ...) ETHSIM_PRINTF_ATTR;
 // the diagnostics threshold (progress is opt-in status output, not a
 // warning). Same stderr "[ethsim:<component>] progress: ..." shape so every
 // binary reports health uniformly; wall-clock pacing lives in
-// obs::ProgressReporter, never in simulation state.
+// obs::ProgressReporter, never in simulation state. ProgressEnabled() is
+// ProgressConfig::FromEnv().enabled, cached on first use.
 bool ProgressEnabled();
 void LogProgress(const char* component, const char* fmt, ...) ETHSIM_PRINTF_ATTR;
 #undef ETHSIM_PRINTF_ATTR

@@ -124,6 +124,35 @@ TEST(ExperimentTest, KnownCacheEntriesMatchPinnedFleetSum) {
   EXPECT_EQ(known, kPinnedKnownEntries);
 }
 
+// FNV-1a over ConnectedTo for every ordered node pair, then every node's
+// peer_count(), of the SmallStudy(300) overlay as BuildTopology wires it.
+std::uint64_t OverlayHash(std::uint64_t seed) {
+  ExperimentConfig cfg = presets::SmallStudy(300);
+  cfg.seed = seed;
+  cfg.duration = Duration::Millis(1);
+  Experiment exp{cfg};
+  exp.Run();
+  std::uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&](std::uint64_t value) {
+    hash = (hash ^ value) * 1099511628211ull;
+  };
+  const auto& nodes = exp.nodes();
+  for (const auto& a : nodes)
+    for (const auto& b : nodes)
+      if (a != b) mix(a->ConnectedTo(*b) ? 1 : 0);
+  for (const auto& node : nodes) mix(node->peer_count());
+  return hash;
+}
+
+// Produced by the per-node routing tables that Registry replaced.
+constexpr std::uint64_t kPinnedOverlaySeed1 = 14804637363282144281ull;
+constexpr std::uint64_t kPinnedOverlaySeed7919 = 7072069230879811327ull;
+
+TEST(ExperimentTest, OverlayMatchesPinnedAdjacency) {
+  EXPECT_EQ(OverlayHash(1), kPinnedOverlaySeed1);
+  EXPECT_EQ(OverlayHash(7919), kPinnedOverlaySeed7919);
+}
+
 TEST(ExperimentTest, RunIsIdempotent) {
   Experiment exp{TinyConfig()};
   exp.Run();

@@ -1,10 +1,14 @@
 // ETHSIM_LOG parsing and diagnostic-line formatting. ParseLogLevel and
-// FormatDiagMessage are pure, so the tests never touch the environment (the
+// FormatDiagMessage are pure, so their tests never touch the environment (the
 // cached DiagLevel/ProgressEnabled getters are process-wide and not
 // re-testable per-case).
 #include "obs/diag.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+
+#include "obs/progress.hpp"
 
 namespace {
 
@@ -55,6 +59,30 @@ TEST(FormatDiagMessage, NoTrailingNewline) {
       FormatDiagMessage(LogLevel::kError, "x", "message");
   ASSERT_FALSE(line.empty());
   EXPECT_NE(line.back(), '\n');
+}
+
+// ProgressConfig::FromEnv is the one parser of ETHSIM_PROGRESS (the cached
+// ProgressEnabled reads its result); it is not cached, so it is tested by
+// setting the variable around each call.
+ethsim::obs::ProgressConfig ProgressFrom(const char* value) {
+  if (value != nullptr)
+    setenv("ETHSIM_PROGRESS", value, 1);
+  else
+    unsetenv("ETHSIM_PROGRESS");
+  const ethsim::obs::ProgressConfig cfg = ethsim::obs::ProgressConfig::FromEnv();
+  unsetenv("ETHSIM_PROGRESS");
+  return cfg;
+}
+
+TEST(ProgressConfig, EnableRuleAndCadence) {
+  EXPECT_FALSE(ProgressFrom(nullptr).enabled);
+  EXPECT_FALSE(ProgressFrom("").enabled);
+  EXPECT_FALSE(ProgressFrom("0").enabled);
+  EXPECT_TRUE(ProgressFrom("00").enabled);
+  EXPECT_EQ(ProgressFrom("10").min_wall_interval_s, 10.0);
+  const ethsim::obs::ProgressConfig truthy = ProgressFrom("yes");
+  EXPECT_TRUE(truthy.enabled);
+  EXPECT_EQ(truthy.min_wall_interval_s, 2.0);
 }
 
 }  // namespace

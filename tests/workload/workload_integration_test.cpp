@@ -134,6 +134,54 @@ TEST(ConfigValidate, RejectsMalformedPlans) {
   EXPECT_NE(cfg.Validate().find("workload_plan"), std::string::npos);
 }
 
+// Each of these used to pass Validate() and then crash, or run on NaN
+// alias tables, in a build without asserts.
+TEST(ConfigValidate, RejectsEmptyPools) {
+  core::ExperimentConfig cfg = core::presets::SmallStudy(30);
+  cfg.pools.clear();
+  EXPECT_NE(cfg.Validate().find("pools"), std::string::npos);
+}
+
+TEST(ConfigValidate, RejectsAPoolWithoutGateways) {
+  core::ExperimentConfig cfg = core::presets::SmallStudy(30);
+  cfg.pools[3].gateways.clear();
+  EXPECT_NE(cfg.Validate().find("gateway"), std::string::npos);
+}
+
+TEST(ConfigValidate, RejectsNegativeOrAllZeroHashrateShares) {
+  core::ExperimentConfig cfg = core::presets::SmallStudy(30);
+  cfg.pools[1].hashrate_share = -0.1;
+  EXPECT_NE(cfg.Validate().find("hashrate_share"), std::string::npos);
+  for (miner::PoolSpec& pool : cfg.pools) pool.hashrate_share = 0;
+  EXPECT_NE(cfg.Validate().find("hashrate_share"), std::string::npos);
+}
+
+TEST(ConfigValidate, RejectsNegativeOrAllZeroGatewayWeights) {
+  core::ExperimentConfig cfg = core::presets::SmallStudy(30);
+  cfg.pools[0].gateways[0].weight = -1;
+  EXPECT_NE(cfg.Validate().find("gateway weights"), std::string::npos);
+  for (miner::GatewaySpec& gw : cfg.pools[0].gateways) gw.weight = 0;
+  EXPECT_NE(cfg.Validate().find("gateway weights"), std::string::npos);
+}
+
+TEST(ConfigValidate, RejectsNegativeOrAllZeroRegionWeights) {
+  core::ExperimentConfig cfg = core::presets::SmallStudy(30);
+  cfg.node_region_weights[2] = -0.5;
+  EXPECT_NE(cfg.Validate().find("node_region_weights"), std::string::npos);
+  cfg.node_region_weights.fill(0);
+  EXPECT_NE(cfg.Validate().find("node_region_weights"), std::string::npos);
+}
+
+TEST(ConfigValidate, RejectsFewerThanTwoNodes) {
+  core::ExperimentConfig cfg = core::presets::SmallStudy(0);
+  cfg.vantages.clear();
+  cfg.pools.resize(1);
+  cfg.pools[0].gateways.resize(1);
+  EXPECT_NE(cfg.Validate().find("at least 2 nodes"), std::string::npos);
+  cfg.peer_nodes = 1;
+  EXPECT_EQ(cfg.Validate(), "");
+}
+
 TEST(ConfigValidate, RunRefusesAnInvalidConfig) {
   core::ExperimentConfig cfg = core::presets::SmallStudy(30);
   cfg.duration = Duration::Minutes(1);
