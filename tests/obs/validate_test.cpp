@@ -142,6 +142,11 @@ constexpr Edit kNone = Edit::kNone, kReplace = Edit::kReplace,
                kAppend = Edit::kAppend, kWrite = Edit::kWrite,
                kRemove = Edit::kRemove;
 
+// ctest lists each case as its name followed by gtest's byte dump of the
+// BrokenCase, which opens with the address of `name`; under address-space
+// randomization all but its low 12 bits differ from run to run. Case names of
+// 13 or more characters keep those bits out of the first 100 characters of
+// the listed test name.
 const BrokenCase kCases[] = {
     // manifest.json
     {"ManifestMissing", kRemove, "manifest.json", "", "", "cannot open",
@@ -198,10 +203,10 @@ const BrokenCase kCases[] = {
     {"MetricsUnknownType", kAppend, "metrics.jsonl", "",
      "{\"type\":\"meter\",\"name\":\"m\",\"value\":1}\n",
      "metrics.jsonl:5: malformed \"meter\""},
-    {"MetricsEmpty", kWrite, "metrics.jsonl", "", "",
+    {"MetricsFileIsEmpty", kWrite, "metrics.jsonl", "", "",
      "metrics.jsonl contains no metrics"},
     // trace.json: event 0 is an 'X' span, event 1 an instant
-    {"TraceNotJson", kWrite, "trace.json", "", "{\"traceEvents\":[",
+    {"TraceTruncatedJson", kWrite, "trace.json", "", "{\"traceEvents\":[",
      "trace.json: not JSON"},
     {"TraceNoEventList", kWrite, "trace.json", "",
      "{\"otherData\":{\"emitted\":0}}", "trace.json has no traceEvents list"},
@@ -303,7 +308,7 @@ const BrokenCase kCases[] = {
     {"ForbidWithoutMetrics", kRemove, "metrics.jsonl", "", "",
      "--forbid-nonzero given but no metrics.jsonl was validated", nullptr, {},
      {"fault.injected"}},
-    {"ForbidUnmatched", kNone, "", "", "",
+    {"ForbidNonzeroUnmatched", kNone, "", "", "",
      "--forbid-nonzero txprov.violation: no matching counter recorded",
      nullptr, {}, {"txprov.violation"}},
     {"ForbidNonzeroCounter", kNone, "", "", "",
