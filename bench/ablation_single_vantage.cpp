@@ -19,7 +19,7 @@ int main() {
   exp.Run();
   bench::PrintRunSummary(exp);
 
-  const auto inputs = bench::InputsFor(exp);
+  const auto inputs = check::MakeStudyInputs(exp);
 
   // Multi-vantage ground picture.
   const auto all = analysis::BlockPropagationDelays(inputs.observers);

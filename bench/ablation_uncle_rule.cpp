@@ -34,7 +34,7 @@ Outcome RunWithRule(bool forbid) {
 
   core::Experiment exp{cfg};
   exp.Run();
-  const auto inputs = bench::InputsFor(exp);
+  const auto inputs = check::MakeStudyInputs(exp);
   const auto census = analysis::ComputeForkCensus(inputs);
   const auto omf = analysis::ComputeOneMinerForks(inputs, census);
   const auto revenue = analysis::ComputeRevenue(inputs);

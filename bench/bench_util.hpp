@@ -1,5 +1,6 @@
 // Shared glue for the per-figure bench binaries: standard banner, timing,
-// and StudyInputs assembly from a finished experiment.
+// telemetry gates and artifacts. StudyInputs come from
+// check::MakeStudyInputs.
 #pragma once
 
 #include <chrono>
@@ -7,7 +8,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "analysis/inputs.hpp"
+#include "check/oracles.hpp"
 #include "core/experiment.hpp"
 #include "core/provenance.hpp"
 #include "obs/telemetry.hpp"
@@ -45,15 +46,6 @@ inline void WriteBenchArtifacts(const core::Experiment& exp,
     std::printf("telemetry -> %s/ (config %.16s, seed %llu)\n", dir.c_str(),
                 ToHex(core::ConfigDigest(exp.config())).c_str(),
                 static_cast<unsigned long long>(exp.config().seed));
-}
-
-inline analysis::StudyInputs InputsFor(const core::Experiment& exp) {
-  analysis::StudyInputs inputs;
-  for (const auto& obs : exp.observers()) inputs.observers.push_back(obs.get());
-  inputs.minted = &exp.minted();
-  inputs.pools = &exp.config().pools;
-  inputs.reference = &exp.reference_tree();
-  return inputs;
 }
 
 class Banner {

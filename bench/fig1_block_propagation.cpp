@@ -17,7 +17,7 @@ int main() {
   bench::PrintRunSummary(exp);
   bench::WriteBenchArtifacts(exp, "fig1_block_propagation");
 
-  const auto inputs = bench::InputsFor(exp);
+  const auto inputs = check::MakeStudyInputs(exp);
   const auto blocks = analysis::BlockPropagationDelays(inputs.observers);
   const auto txs = analysis::TxPropagationDelays(inputs.observers);
   const auto tx_rows = analysis::PerVantageTxDelay(inputs.observers);

@@ -34,8 +34,8 @@ int main() {
   std::vector<analysis::GeoResult> parts;
   for (const auto& run : runs) {
     bench::PrintRunSummary(*run);
-    parts.push_back(
-        analysis::FirstObservationShares(bench::InputsFor(*run).observers));
+    parts.push_back(analysis::FirstObservationShares(
+        check::MakeStudyInputs(*run).observers));
   }
 
   std::printf("%s\n",

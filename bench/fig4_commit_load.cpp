@@ -56,7 +56,7 @@ int main() {
     exp.Run();
     bench::PrintRunSummary(exp);
 
-    const auto inputs = bench::InputsFor(exp);
+    const auto inputs = check::MakeStudyInputs(exp);
     const auto commit = analysis::TransactionCommitTimes(inputs, depths);
     std::printf("%s\n", analysis::RenderFig4(commit).c_str());
     const auto demand = analysis::AnalyzeDemand(

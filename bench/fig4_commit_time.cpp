@@ -15,7 +15,7 @@ int main() {
   exp.Run();
   bench::PrintRunSummary(exp);
 
-  const auto inputs = bench::InputsFor(exp);
+  const auto inputs = check::MakeStudyInputs(exp);
   std::printf(
       "%s\n",
       analysis::RenderFig4(analysis::TransactionCommitTimes(inputs)).c_str());

@@ -19,7 +19,7 @@ int main() {
   exp.Run();
   bench::PrintRunSummary(exp);
 
-  const auto inputs = bench::InputsFor(exp);
+  const auto inputs = check::MakeStudyInputs(exp);
   std::printf("%s\n",
               analysis::RenderFig6(analysis::EmptyBlockCensus(inputs)).c_str());
   return 0;

@@ -24,7 +24,7 @@ int main() {
   core::Experiment exp{cfg};
   exp.Run();
   bench::PrintRunSummary(exp);
-  const auto inputs = bench::InputsFor(exp);
+  const auto inputs = check::MakeStudyInputs(exp);
   const auto simulated = analysis::ConsecutiveMinerSequences(inputs);
   std::printf("full-simulation cross-check (%zu blocks):\n%s\n",
               simulated.total_main_blocks,

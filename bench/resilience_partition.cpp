@@ -95,15 +95,15 @@ int main() {
   bench::PrintRunSummary(control);
 
   const analysis::ResilienceReport report = analysis::CompareResilience(
-      bench::InputsFor(faulted), bench::InputsFor(control), start,
+      check::MakeStudyInputs(faulted), check::MakeStudyInputs(control), start,
       start + window);
   std::printf("%s\n", analysis::RenderResilience(report).c_str());
 
   // Whole-run fork census for context (the window slice is the headline).
   const analysis::ForkCensus faulted_census =
-      analysis::ComputeForkCensus(bench::InputsFor(faulted));
+      analysis::ComputeForkCensus(check::MakeStudyInputs(faulted));
   const analysis::ForkCensus control_census =
-      analysis::ComputeForkCensus(bench::InputsFor(control));
+      analysis::ComputeForkCensus(check::MakeStudyInputs(control));
   std::printf(
       "whole-run fork share: faulted %.2f%% vs control %.2f%% "
       "(%zu vs %zu blocks)\n",

@@ -39,7 +39,7 @@ int main() {
   std::vector<analysis::OneMinerForkCensus> omfs;
   for (const auto& run : runs) {
     bench::PrintRunSummary(*run);
-    const auto inputs = bench::InputsFor(*run);
+    const auto inputs = check::MakeStudyInputs(*run);
     censuses.push_back(analysis::ComputeForkCensus(inputs));
     omfs.push_back(analysis::ComputeOneMinerForks(inputs, censuses.back()));
   }

@@ -8,6 +8,7 @@
 #include <cstdlib>
 
 #include "analysis/report.hpp"
+#include "check/oracles.hpp"
 #include "core/experiment.hpp"
 
 using namespace ethsim;
@@ -25,11 +26,7 @@ int main(int argc, char** argv) {
   core::Experiment exp{cfg};
   exp.Run();
 
-  analysis::StudyInputs inputs;
-  for (const auto& obs : exp.observers()) inputs.observers.push_back(obs.get());
-  inputs.minted = &exp.minted();
-  inputs.pools = &exp.config().pools;
-  inputs.reference = &exp.reference_tree();
+  const analysis::StudyInputs inputs = check::MakeStudyInputs(exp);
 
   const auto blocks = analysis::BlockPropagationDelays(inputs.observers);
   const auto txs = analysis::TxPropagationDelays(inputs.observers);

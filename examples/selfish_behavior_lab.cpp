@@ -11,6 +11,7 @@
 #include "analysis/empty_blocks.hpp"
 #include "analysis/forks.hpp"
 #include "analysis/rewards.hpp"
+#include "check/oracles.hpp"
 #include "core/experiment.hpp"
 
 using namespace ethsim;
@@ -39,11 +40,7 @@ LabResult RunOnce(double empty_rate, double omf_rate, Duration duration) {
   core::Experiment exp{cfg};
   exp.Run();
 
-  analysis::StudyInputs inputs;
-  for (const auto& obs : exp.observers()) inputs.observers.push_back(obs.get());
-  inputs.minted = &exp.minted();
-  inputs.pools = &exp.config().pools;
-  inputs.reference = &exp.reference_tree();
+  const analysis::StudyInputs inputs = check::MakeStudyInputs(exp);
 
   LabResult out;
   const auto empty = analysis::EmptyBlockCensus(inputs);

@@ -370,7 +370,8 @@ namespace {
 
 // Region tag for JSON rows; "?" when the host has no recorded region.
 std::string HostRegion(const obs::ProvenanceLog& log, std::uint32_t host) {
-  if (host < log.host_region.size() && log.host_region[host] != 0xff)
+  if (host < log.host_region.size() &&
+      log.host_region[host] != obs::kUnknownRegion)
     return std::string(net::RegionShortName(
         static_cast<net::Region>(log.host_region[host])));
   return "?";

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <type_traits>
 #include <utility>
 
 #include "check/metamorphic.hpp"
@@ -42,7 +43,7 @@ void ReportLine(std::ofstream& report, const Scenario& scenario,
          << ", \"detail\": " << obs::JsonString(fate.detail) << "}\n";
 }
 
-std::string FirstOracleFailure(core::Experiment& exp,
+std::string FirstOracleFailure(const core::Experiment& exp,
                                const OracleOptions& options,
                                const std::string& oracle) {
   for (const OracleFailure& failure : RunOracles(exp, options))
@@ -196,27 +197,27 @@ bool WriteRepro(const std::string& path, const ReproSpec& spec,
 
 namespace {
 
-// Line-scraping JSON readers, the manifest-reader idiom: the writer above
-// owns the exact shape, so a full JSON parser buys nothing.
-bool ScrapeU64(const std::string& text, const std::string& key,
-               std::uint64_t* value) {
-  const auto pos = text.find("\"" + key + "\":");
-  if (pos == std::string::npos) return false;
-  const char* cursor = text.c_str() + pos + key.size() + 3;
-  char* end = nullptr;
-  *value = std::strtoull(cursor, &end, 10);
-  return end != cursor;
-}
-
-bool ScrapeString(const std::string& text, const std::string& key,
-                  std::string* value) {
-  const auto pos = text.find("\"" + key + "\":");
-  if (pos == std::string::npos) return false;
-  const auto open = text.find('"', pos + key.size() + 3);
-  if (open == std::string::npos) return false;
-  const auto close = text.find('"', open + 1);
-  if (close == std::string::npos) return false;
-  *value = text.substr(open + 1, close - open - 1);
+// Reads member `key` of a repro document into `out`: a string, a list of
+// strings, or an unsigned integer. False when the member has the wrong type,
+// or is absent and `required`.
+template <typename T>
+bool ReadMember(const obs::JsonValue& doc, const char* key, bool required,
+                T* out) {
+  const obs::JsonValue* value = doc.Find(key);
+  if (value == nullptr) return !required;
+  if constexpr (std::is_same_v<T, std::string>) {
+    if (!value->is_string()) return false;
+    *out = value->string;
+  } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
+    if (value->type != obs::JsonValue::Type::kArray) return false;
+    for (const obs::JsonValue& item : value->items) {
+      if (!item.is_string()) return false;
+      out->push_back(item.string);
+    }
+  } else {
+    if (!value->is_uint()) return false;
+    *out = static_cast<T>(value->uinteger);
+  }
   return true;
 }
 
@@ -225,40 +226,31 @@ bool ScrapeString(const std::string& text, const std::string& key,
 bool ReadRepro(const std::string& path, ReproSpec* spec, std::string* error) {
   std::string text;
   if (!obs::ReadTextFile(path, &text, error)) return false;
-
-  std::uint64_t u = 0;
-  if (!ScrapeU64(text, "fuzz_seed", &spec->fuzz_seed) ||
-      !ScrapeU64(text, "index", &spec->index) ||
-      !ScrapeString(text, "kind", &spec->kind) ||
-      !ScrapeString(text, "name", &spec->name)) {
-    if (error != nullptr) *error = path + " is not a repro file";
+  const auto fail = [&](const std::string& why) {
+    if (error != nullptr) *error = path + " is not a repro file: " + why;
     return false;
-  }
-  ScrapeString(text, "config_digest", &spec->config_digest);
-  if (ScrapeU64(text, "min_nodes", &u)) spec->scenario.min_nodes = u;
-  if (ScrapeU64(text, "max_nodes", &u)) spec->scenario.max_nodes = u;
-  if (ScrapeU64(text, "min_minutes", &u))
-    spec->scenario.min_minutes = static_cast<std::int64_t>(u);
-  if (ScrapeU64(text, "max_minutes", &u))
-    spec->scenario.max_minutes = static_cast<std::int64_t>(u);
+  };
+  obs::JsonValue doc;
+  std::string why;
+  if (!obs::ParseJson(text, &doc, &why)) return fail(why);
+  if (!doc.is_object()) return fail("not a JSON object");
 
+  const char* bad = nullptr;
+  const auto read = [&](const char* key, bool required, auto* out) {
+    if (bad == nullptr && !ReadMember(doc, key, required, out)) bad = key;
+  };
+  read("fuzz_seed", true, &spec->fuzz_seed);
+  read("index", true, &spec->index);
+  read("kind", true, &spec->kind);
+  read("name", true, &spec->name);
+  read("config_digest", false, &spec->config_digest);
+  read("min_nodes", false, &spec->scenario.min_nodes);
+  read("max_nodes", false, &spec->scenario.max_nodes);
+  read("min_minutes", false, &spec->scenario.min_minutes);
+  read("max_minutes", false, &spec->scenario.max_minutes);
   spec->mutations.clear();
-  const auto list_pos = text.find("\"mutations\":");
-  if (list_pos != std::string::npos) {
-    const auto open = text.find('[', list_pos);
-    const auto close = text.find(']', list_pos);
-    if (open != std::string::npos && close != std::string::npos) {
-      std::size_t cursor = open;
-      while (true) {
-        const auto quote = text.find('"', cursor + 1);
-        if (quote == std::string::npos || quote > close) break;
-        const auto end_quote = text.find('"', quote + 1);
-        if (end_quote == std::string::npos || end_quote > close) break;
-        spec->mutations.push_back(text.substr(quote + 1, end_quote - quote - 1));
-        cursor = end_quote;
-      }
-    }
-  }
+  read("mutations", false, &spec->mutations);
+  if (bad != nullptr) return fail(std::string("bad or missing \"") + bad + '"');
   return true;
 }
 

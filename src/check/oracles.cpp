@@ -136,7 +136,7 @@ bool StatsEqual(const analysis::RedundancyStats& a,
 // The Table II reconciliation contract at every vantage: the redundancy
 // computed from the provenance edge log must equal the observer-log
 // computation bitwise.
-void RedundancyOracle(core::Experiment& exp, Failures& failures) {
+void RedundancyOracle(const core::Experiment& exp, Failures& failures) {
   if (exp.telemetry() == nullptr || exp.telemetry()->provenance() == nullptr)
     return;
   const obs::ProvenanceLog& log = exp.telemetry()->provenance()->Finish();
@@ -163,7 +163,7 @@ void RedundancyOracle(core::Experiment& exp, Failures& failures) {
 // Every censored message is attributed exactly once, in both census tables
 // (by reason, and by kind x region); with provenance on, the edge log's
 // per-reason drop counts match the network's.
-void DropCensusOracle(core::Experiment& exp, Failures& failures) {
+void DropCensusOracle(const core::Experiment& exp, Failures& failures) {
   const net::Network& network = exp.network();
   const std::uint64_t total = network.messages_dropped();
   std::uint64_t by_reason = 0;
@@ -211,13 +211,13 @@ void DropCensusOracle(core::Experiment& exp, Failures& failures) {
 // The streaming invariant checkers that rode the run must have stayed
 // silent, and the lifecycle log must open with exactly one kSubmitted record
 // per workload submission (stage conservation at the source).
-void TelemetryCleanOracle(core::Experiment& exp, Failures& failures) {
+void TelemetryCleanOracle(const core::Experiment& exp, Failures& failures) {
   if (exp.telemetry() == nullptr) return;
   if (const obs::ProvenanceRecorder* prov = exp.telemetry()->provenance())
     if (prov->violations() != 0)
       Fail(failures, "provenance-clean",
            Eq("gossip-provenance invariant violations", prov->violations(), 0));
-  if (obs::TxProvRecorder* txprov = exp.telemetry()->txprov()) {
+  if (const obs::TxProvRecorder* txprov = exp.telemetry()->txprov()) {
     if (txprov->violations() != 0)
       Fail(failures, "txprov-clean",
            Eq("tx-lifecycle invariant violations", txprov->violations(), 0));
@@ -250,7 +250,7 @@ std::vector<std::string> OracleNames() {
           "drop-census",               "provenance-clean", "txprov-clean"};
 }
 
-std::vector<OracleFailure> RunOracles(core::Experiment& experiment,
+std::vector<OracleFailure> RunOracles(const core::Experiment& experiment,
                                       const OracleOptions& options) {
   Failures failures;
   ChainOracle(experiment, failures);

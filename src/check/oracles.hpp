@@ -30,8 +30,7 @@ struct OracleOptions {
 std::vector<std::string> OracleNames();
 
 // Runs every oracle; returns all failures (empty = the run is clean).
-// Non-const because reading the provenance stream finishes its recorder.
-std::vector<OracleFailure> RunOracles(core::Experiment& experiment,
+std::vector<OracleFailure> RunOracles(const core::Experiment& experiment,
                                       const OracleOptions& options = {});
 
 // The analysis-input bundle of a finished experiment (shared by the oracles,

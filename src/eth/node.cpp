@@ -24,6 +24,29 @@ static_assert(
     static_cast<int>(obs::TxPoolOutcome::kRejected) ==
         static_cast<int>(chain::TxPool::AddOutcome::kRejected));
 
+namespace {
+
+// The outcome Network::Send returned, in the provenance recorder's terms.
+// obs stays free of net includes, so this is the one place where
+// net::DropReason maps onto obs::EdgeDrop (which reserves 0 for "delivered").
+// Cold: it runs only with recording on, so it stays out of the send paths.
+[[gnu::cold]] obs::EdgeOutcome ToEdgeOutcome(const net::SendOutcome& sent) {
+  if (!sent.drop) return {sent.arrival.micros(), obs::EdgeDrop::kNone};
+  switch (*sent.drop) {
+    case net::DropReason::kRandomLoss:
+      return {-1, obs::EdgeDrop::kRandomLoss};
+    case net::DropReason::kPartitioned:
+      return {-1, obs::EdgeDrop::kPartitioned};
+    case net::DropReason::kDegraded:
+      return {-1, obs::EdgeDrop::kDegraded};
+    case net::DropReason::kOffline:
+      return {-1, obs::EdgeDrop::kOffline};
+  }
+  return {};
+}
+
+}  // namespace
+
 EthNode::EthNode(sim::Simulator& simulator, net::Network& network,
                  chain::HashInterner& hash_ids, net::HostId host,
                  p2p::NodeId id, chain::BlockPtr genesis, NodeConfig config,
@@ -173,7 +196,9 @@ void EthNode::GoOnline() {
   online_ = true;
 }
 
-bool EthNode::DropIngress(obs::MsgKind kind) {
+bool EthNode::DropIngress(const EthNode* from, obs::MsgKind kind) {
+  if (prov_ != nullptr) [[unlikely]]
+    prov_->ResolveDelivery(from->host(), host_, online_);
   if (online_) [[likely]] return false;
   ++offline_drops_;
   net_.NoteOfflineDrop(kind, region());
@@ -246,39 +271,13 @@ void EthNode::InjectMinedBlock(chain::BlockPtr block) {
   if (prov_ != nullptr) [[unlikely]]
     prov_->RecordOrigin(host_, block->hash, block->header.parent_hash,
                         block->header.number, sim_.Now().micros());
-  for (const auto& retired : result.retired)
-    for (const auto& tx : retired->transactions) {
-      pool_.RollbackAccountNonce(tx.sender, tx.nonce);
-      pool_.Add(tx);
-    }
-  for (const auto& adopted : result.adopted)
-    pool_.RemoveIncluded(adopted->transactions);
-
-  const bool new_head =
-      result.outcome == chain::BlockTree::AddOutcome::kAddedNewHead;
-  if (txprov_ != nullptr) [[unlikely]]
-    RecordChainEdit(result, new_head);
-  if (sink_ != nullptr) sink_->OnBlockImported(block, new_head);
-  if (imported_count_ != nullptr) [[unlikely]] {
-    imported_count_->Add();
-    if (new_head) head_count_->Add();
-  }
-  if (block_tracer_ != nullptr) [[unlikely]]
-    TraceBlockInstant("block.import", "mined", block->hash,
-                      block->header.number);
-
-  PushToSqrtPeers(block);
-  AnnounceToOtherPeers(block);
-
-  if (new_head && on_new_head_) on_new_head_(tree_.head());
+  AfterAdd(block, result, /*mined=*/true);
 }
 
 // --- wire ingress ------------------------------------------------------------
 
 void EthNode::DeliverNewBlock(EthNode* from, chain::BlockPtr block) {
-  if (prov_ != nullptr) [[unlikely]]
-    prov_->ResolveDelivery(from->host(), host_, online_, sim_.Now().micros());
-  if (DropIngress(obs::MsgKind::kNewBlock)) [[unlikely]] return;
+  if (DropIngress(from, obs::MsgKind::kNewBlock)) [[unlikely]] return;
   if (sink_ != nullptr)
     sink_->OnBlockMessage(MessageSink::BlockMsgKind::kFullBlock, block->hash,
                           block->header.number, block);
@@ -286,13 +285,11 @@ void EthNode::DeliverNewBlock(EthNode* from, chain::BlockPtr block) {
     TraceBlockInstant("block.heard", "new_block", block->hash,
                       block->header.number);
   MarkKnowsBlock(from, block->hash);
-  HandleIncomingBlock(from, std::move(block));
+  HandleIncomingBlock(std::move(block));
 }
 
 void EthNode::DeliverBlockResponse(EthNode* from, chain::BlockPtr block) {
-  if (prov_ != nullptr) [[unlikely]]
-    prov_->ResolveDelivery(from->host(), host_, online_, sim_.Now().micros());
-  if (DropIngress(obs::MsgKind::kBlockResponse)) [[unlikely]] return;
+  if (DropIngress(from, obs::MsgKind::kBlockResponse)) [[unlikely]] return;
   if (sink_ != nullptr)
     sink_->OnBlockMessage(MessageSink::BlockMsgKind::kFetched, block->hash,
                           block->header.number, block);
@@ -301,14 +298,12 @@ void EthNode::DeliverBlockResponse(EthNode* from, chain::BlockPtr block) {
                       block->header.number);
   requested_.erase(block->hash);
   MarkKnowsBlock(from, block->hash);
-  HandleIncomingBlock(from, std::move(block));
+  HandleIncomingBlock(std::move(block));
 }
 
 void EthNode::DeliverAnnouncement(EthNode* from, const Hash32& hash,
                                   std::uint64_t number) {
-  if (prov_ != nullptr) [[unlikely]]
-    prov_->ResolveDelivery(from->host(), host_, online_, sim_.Now().micros());
-  if (DropIngress(obs::MsgKind::kAnnouncement)) [[unlikely]] return;
+  if (DropIngress(from, obs::MsgKind::kAnnouncement)) [[unlikely]] return;
   if (sink_ != nullptr)
     sink_->OnBlockMessage(MessageSink::BlockMsgKind::kAnnouncement, hash, number,
                           nullptr);
@@ -318,43 +313,26 @@ void EthNode::DeliverAnnouncement(EthNode* from, const Hash32& hash,
   if (tree_.Contains(hash) || importing_.contains(hash) ||
       requested_.contains(hash))
     return;
-  requested_.insert(hash);
-  if (prov_ != nullptr) [[unlikely]]
-    prov_->StageBlockEdge(host_, from->host(), obs::EdgeKind::kGetBlock, hash,
-                          number, nullptr, kGetBlockWireSize,
-                          sim_.Now().micros());
-  net_.Send(host_, from->host(), kGetBlockWireSize, obs::MsgKind::kGetBlock,
-            [from, self = this, hash] { from->DeliverGetBlock(self, hash); });
-  // Retry guard: if the fetch (or its response) is lost, forget it so the
-  // next announcement re-triggers the request. Epoch-guarded: after a crash
-  // the restarted session starts with a fresh `requested_` set and a stale
-  // timer must not touch it.
-  sim_.Schedule(config_.fetch_retry_timeout, [this, hash, epoch = epoch_] {
-    if (epoch == epoch_) requested_.erase(hash);
-  });
+  RequestBlock(from, hash, number);
 }
 
 void EthNode::DeliverGetBlock(EthNode* from, const Hash32& hash) {
-  if (prov_ != nullptr) [[unlikely]]
-    prov_->ResolveDelivery(from->host(), host_, online_, sim_.Now().micros());
-  if (DropIngress(obs::MsgKind::kGetBlock)) [[unlikely]] return;
+  if (DropIngress(from, obs::MsgKind::kGetBlock)) [[unlikely]] return;
   const chain::BlockPtr block = tree_.Get(hash);
   if (!block) return;  // pruned/unknown; requester will hear it elsewhere
   MarkKnowsBlock(from, hash);
+  const net::SendOutcome sent = net_.Send(
+      host_, from->host(), block->EncodedSize(), obs::MsgKind::kBlockResponse,
+      [from, self = this, block] { from->DeliverBlockResponse(self, block); });
   if (prov_ != nullptr) [[unlikely]]
-    prov_->StageBlockEdge(host_, from->host(), obs::EdgeKind::kBlockResponse,
-                          block->hash, block->header.number,
-                          &block->header.parent_hash, block->EncodedSize(),
-                          sim_.Now().micros());
-  net_.Send(host_, from->host(), block->EncodedSize(),
-            obs::MsgKind::kBlockResponse,
-            [from, self = this, block] { from->DeliverBlockResponse(self, block); });
+    prov_->RecordBlockEdge(host_, from->host(), obs::EdgeKind::kBlockResponse,
+                           block->hash, block->header.number,
+                           &block->header.parent_hash, block->EncodedSize(),
+                           sim_.Now().micros(), ToEdgeOutcome(sent));
 }
 
 void EthNode::DeliverTransactions(EthNode* from, const TxBatchView& batch) {
-  if (prov_ != nullptr) [[unlikely]]
-    prov_->ResolveDelivery(from->host(), host_, online_, sim_.Now().micros());
-  if (DropIngress(obs::MsgKind::kTransactions)) [[unlikely]] return;
+  if (DropIngress(from, obs::MsgKind::kTransactions)) [[unlikely]] return;
   Peer* peer = FindPeer(from);
   if (tx_received_count_ != nullptr) [[unlikely]]
     tx_received_count_->Add(batch.count());
@@ -384,7 +362,7 @@ void EthNode::DeliverTransactions(EthNode* from, const TxBatchView& batch) {
 
 // --- relay pipeline ----------------------------------------------------------
 
-void EthNode::HandleIncomingBlock(EthNode* from, chain::BlockPtr block) {
+void EthNode::HandleIncomingBlock(chain::BlockPtr block) {
   const Hash32 hash = block->hash;
   if (tree_.Contains(hash) || importing_.contains(hash)) return;
   importing_.insert(hash);
@@ -417,10 +395,9 @@ void EthNode::HandleIncomingBlock(EthNode* from, chain::BlockPtr block) {
     PushToSqrtPeers(block);
     sim_.Schedule(ValidationDelay(*block), [this, block, epoch] {
       if (epoch != epoch_) return;
-      ImportBlock(block, nullptr);
+      ImportBlock(block);
     });
   });
-  (void)from;
 }
 
 Duration EthNode::ValidationDelay(const chain::Block& block) const {
@@ -430,8 +407,7 @@ Duration EthNode::ValidationDelay(const chain::Block& block) const {
   return work * config_.validation_speed_factor;
 }
 
-void EthNode::ImportBlock(chain::BlockPtr block, EthNode* origin) {
-  (void)origin;
+void EthNode::ImportBlock(chain::BlockPtr block) {
   const Hash32 hash = block->hash;
   importing_.erase(hash);
 
@@ -453,35 +429,22 @@ void EthNode::ImportBlock(chain::BlockPtr block, EthNode* origin) {
   switch (result.outcome) {
     case chain::BlockTree::AddOutcome::kDuplicate:
       return;
-    case chain::BlockTree::AddOutcome::kOrphaned: {
+    case chain::BlockTree::AddOutcome::kOrphaned:
       // Fetch the missing parent from a random peer claiming block knowledge
       // (any peer, in our loss-free overlay).
-      if (!peers_.empty() && !requested_.contains(block->header.parent_hash)) {
-        const Hash32 parent = block->header.parent_hash;
-        requested_.insert(parent);
-        Peer& peer = peers_[rng_.NextBounded(peers_.size())];
-        if (prov_ != nullptr) [[unlikely]]
-          prov_->StageBlockEdge(host_, peer.node->host(),
-                                obs::EdgeKind::kGetBlock, parent,
-                                block->header.number - 1, nullptr,
-                                kGetBlockWireSize, sim_.Now().micros());
-        net_.Send(host_, peer.node->host(), kGetBlockWireSize,
-                  obs::MsgKind::kGetBlock,
-                  [target = peer.node, self = this, parent] {
-                    target->DeliverGetBlock(self, parent);
-                  });
-        sim_.Schedule(config_.fetch_retry_timeout,
-                      [this, parent, epoch = epoch_] {
-                        if (epoch == epoch_) requested_.erase(parent);
-                      });
-      }
+      if (!peers_.empty() && !requested_.contains(block->header.parent_hash))
+        RequestBlock(peers_[rng_.NextBounded(peers_.size())].node,
+                     block->header.parent_hash, block->header.number - 1);
       return;
-    }
     case chain::BlockTree::AddOutcome::kAdded:
     case chain::BlockTree::AddOutcome::kAddedNewHead:
       break;
   }
+  AfterAdd(block, result, /*mined=*/false);
+}
 
+void EthNode::AfterAdd(const chain::BlockPtr& block,
+                       const chain::BlockTree::AddResult& result, bool mined) {
   // Reorg bookkeeping mirrors Geth: retired transactions return to the pool,
   // adopted ones leave it.
   for (const auto& retired : result.retired)
@@ -502,12 +465,35 @@ void EthNode::ImportBlock(chain::BlockPtr block, EthNode* origin) {
     if (new_head) head_count_->Add();
   }
   if (block_tracer_ != nullptr) [[unlikely]]
-    TraceBlockInstant("block.import", new_head ? "new_head" : "side",
+    TraceBlockInstant("block.import",
+                      mined ? "mined" : new_head ? "new_head" : "side",
                       block->hash, block->header.number);
 
+  // A mined block is pushed to sqrt(peers) here, before the announce; a
+  // relayed block was pushed after its header check.
+  if (mined) PushToSqrtPeers(block);
   AnnounceToOtherPeers(block);
 
   if (new_head && on_new_head_) on_new_head_(tree_.head());
+}
+
+void EthNode::RequestBlock(EthNode* peer, const Hash32& hash,
+                           std::uint64_t number) {
+  requested_.insert(hash);
+  const net::SendOutcome sent = net_.Send(
+      host_, peer->host(), kGetBlockWireSize, obs::MsgKind::kGetBlock,
+      [peer, self = this, hash] { peer->DeliverGetBlock(self, hash); });
+  if (prov_ != nullptr) [[unlikely]]
+    prov_->RecordBlockEdge(host_, peer->host(), obs::EdgeKind::kGetBlock, hash,
+                           number, nullptr, kGetBlockWireSize,
+                           sim_.Now().micros(), ToEdgeOutcome(sent));
+  // Retry guard: if the fetch (or its response) is lost, forget it so the
+  // next announcement re-triggers the request. Epoch-guarded: after a crash
+  // the restarted session starts with a fresh `requested_` set and a stale
+  // timer must not touch it.
+  sim_.Schedule(config_.fetch_retry_timeout, [this, hash, epoch = epoch_] {
+    if (epoch == epoch_) requested_.erase(hash);
+  });
 }
 
 void EthNode::PushToSqrtPeers(const chain::BlockPtr& block) {
@@ -550,28 +536,30 @@ void EthNode::AnnounceToOtherPeers(const chain::BlockPtr& block) {
 
 void EthNode::SendNewBlock(Peer& peer, const chain::BlockPtr& block) {
   EthNode* target = peer.node;
+  const net::SendOutcome sent = net_.Send(
+      host_, target->host(), block->EncodedSize(), obs::MsgKind::kNewBlock,
+      [target, self = this, block] { target->DeliverNewBlock(self, block); });
   if (prov_ != nullptr) [[unlikely]]
-    prov_->StageBlockEdge(host_, target->host(), obs::EdgeKind::kNewBlock,
-                          block->hash, block->header.number,
-                          &block->header.parent_hash, block->EncodedSize(),
-                          sim_.Now().micros());
-  net_.Send(host_, target->host(), block->EncodedSize(),
-            obs::MsgKind::kNewBlock,
-            [target, self = this, block] { target->DeliverNewBlock(self, block); });
+    prov_->RecordBlockEdge(host_, target->host(), obs::EdgeKind::kNewBlock,
+                           block->hash, block->header.number,
+                           &block->header.parent_hash, block->EncodedSize(),
+                           sim_.Now().micros(), ToEdgeOutcome(sent));
 }
 
 void EthNode::SendAnnouncement(Peer& peer, const chain::BlockPtr& block) {
   EthNode* target = peer.node;
+  const net::SendOutcome sent = net_.Send(
+      host_, target->host(), kAnnouncementWireSize,
+      obs::MsgKind::kAnnouncement,
+      [target, self = this, hash = block->hash,
+       number = block->header.number] {
+        target->DeliverAnnouncement(self, hash, number);
+      });
   if (prov_ != nullptr) [[unlikely]]
-    prov_->StageBlockEdge(host_, target->host(), obs::EdgeKind::kAnnouncement,
-                          block->hash, block->header.number, nullptr,
-                          kAnnouncementWireSize, sim_.Now().micros());
-  net_.Send(host_, target->host(), kAnnouncementWireSize,
-            obs::MsgKind::kAnnouncement,
-            [target, self = this, hash = block->hash,
-             number = block->header.number] {
-              target->DeliverAnnouncement(self, hash, number);
-            });
+    prov_->RecordBlockEdge(host_, target->host(), obs::EdgeKind::kAnnouncement,
+                           block->hash, block->header.number, nullptr,
+                           kAnnouncementWireSize, sim_.Now().micros(),
+                           ToEdgeOutcome(sent));
 }
 
 // --- transaction gossip ------------------------------------------------------
@@ -629,13 +617,14 @@ void EthNode::FlushTxBroadcast() {
       view.subset = std::make_shared<const std::vector<std::uint32_t>>(
           flush_subset_);
     EthNode* target = peer.node;
+    const net::SendOutcome sent = net_.Send(
+        host_, target->host(), bytes, obs::MsgKind::kTransactions,
+        [target, self = this, view = std::move(view)] {
+          target->DeliverTransactions(self, view);
+        });
     if (prov_ != nullptr) [[unlikely]]
-      prov_->StageTxEdge(host_, target->host(), flush_subset_.size(), bytes,
-                         sim_.Now().micros());
-    net_.Send(host_, target->host(), bytes, obs::MsgKind::kTransactions,
-              [target, self = this, view = std::move(view)] {
-                target->DeliverTransactions(self, view);
-              });
+      prov_->RecordTxEdge(host_, target->host(), flush_subset_.size(), bytes,
+                          sim_.Now().micros(), ToEdgeOutcome(sent));
   }
 }
 

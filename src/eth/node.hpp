@@ -200,15 +200,24 @@ class EthNode {
   // Connect/Disconnect, which keep the two sides symmetric.
   bool AddPeer(EthNode* node);
   bool RemovePeer(const EthNode* node);
-  // True when a message arriving now must be discarded (node offline); also
-  // attributes the loss in the Network drop census.
-  bool DropIngress(obs::MsgKind kind);
+  // The ingress guard every Deliver* opens with: resolves the message's edge
+  // in the provenance recorder, then returns true when it must be discarded
+  // (node offline), attributing the loss in the Network drop census.
+  bool DropIngress(const EthNode* from, obs::MsgKind kind);
 
   // Relay pipeline.
-  void HandleIncomingBlock(EthNode* from, chain::BlockPtr block);
+  void HandleIncomingBlock(chain::BlockPtr block);
   void PushToSqrtPeers(const chain::BlockPtr& block);
   void AnnounceToOtherPeers(const chain::BlockPtr& block);
-  void ImportBlock(chain::BlockPtr block, EthNode* origin);
+  void ImportBlock(chain::BlockPtr block);
+  // Everything a non-duplicate BlockTree::Add triggers, in order: pool reorg
+  // bookkeeping, the tx recorder's chain edit, the sink, the import/head
+  // counters and trace, the relay, and the head callback. A `mined` block is
+  // pushed to sqrt(peers) before the announce.
+  void AfterAdd(const chain::BlockPtr& block,
+                const chain::BlockTree::AddResult& result, bool mined);
+  // Fetches `hash` (block `number`) from `peer` and arms the retry timer.
+  void RequestBlock(EthNode* peer, const Hash32& hash, std::uint64_t number);
   Duration ValidationDelay(const chain::Block& block) const;
 
   // Feeds a BlockTree edit (retired blocks' orphan-returned txs, adopted
@@ -267,8 +276,8 @@ class EthNode {
   // Telemetry (null = disabled; one predicted branch per hook). Instrument
   // pointers are resolved once in AttachTelemetry for this node's region.
   // prov_ is the dissemination-provenance recorder: every outbound message
-  // stages an edge immediately before net_.Send (the Network finalizes it)
-  // and every ingress resolves its delivery — see obs/provenance_dag.hpp.
+  // records its edge with the outcome net_.Send returned, and every ingress
+  // resolves its delivery — see obs/provenance_dag.hpp.
   obs::ProvenanceRecorder* prov_ = nullptr;
   // txprov_ is the transaction-lifecycle recorder: pool outcomes at every
   // host, vantage first-seens, and the anchor's include/orphan/commit

@@ -1,7 +1,9 @@
-// eth/63 wire formats. Messages exchanged by EthNode are modeled as C++
-// objects for speed, but their on-the-wire size — which drives the bandwidth
-// model — comes from the real RLP encoding implemented here. The codecs
-// round-trip, so the simulator could exchange actual bytes; see wire tests.
+// eth/63 wire formats: a reference RLP codec for the messages EthNode
+// models as C++ objects. No production binary calls it. The bandwidth model
+// sizes messages with Block::EncodedSize, Transaction::EncodedSize and the
+// wire-size constants in eth/node.hpp; Wire.WireSizesMatchEncodings checks
+// Block::EncodedSize against this codec. The codecs round-trip; see the wire
+// tests.
 #pragma once
 
 #include <cstdint>

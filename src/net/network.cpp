@@ -19,19 +19,6 @@ std::string_view DropReasonName(DropReason reason) {
 
 namespace {
 
-// DropReason -> EdgeDrop (shifted by one: EdgeDrop reserves 0 for
-// "delivered"). Kept as an explicit map so the obs layer stays free of net
-// includes and a reorder in either enum turns into a compile break here.
-obs::EdgeDrop ToEdgeDrop(DropReason reason) {
-  switch (reason) {
-    case DropReason::kRandomLoss: return obs::EdgeDrop::kRandomLoss;
-    case DropReason::kPartitioned: return obs::EdgeDrop::kPartitioned;
-    case DropReason::kDegraded: return obs::EdgeDrop::kDegraded;
-    case DropReason::kOffline: return obs::EdgeDrop::kOffline;
-  }
-  return obs::EdgeDrop::kNone;
-}
-
 // Home slot of a FIFO pair key in a table of 1 << bits slots (Fibonacci
 // hashing: the top bits of key * 2^64/phi).
 std::size_t PairHome(std::uint64_t key, unsigned bits) {
@@ -88,7 +75,6 @@ void Network::AttachTelemetry(obs::Telemetry* telemetry) {
   // In-flight accounting exists for the sampler's probes alone; without one
   // Send schedules the raw callback and the counters stay untouched.
   track_inflight_ = telemetry != nullptr && telemetry->sampler() != nullptr;
-  provenance_ = telemetry != nullptr ? telemetry->provenance() : nullptr;
   sent_count_.fill(nullptr);
   sent_bytes_.fill(nullptr);
   for (auto& row : drop_count_) row.fill(nullptr);
@@ -202,8 +188,8 @@ void Network::GrowFifo() {
   }
 }
 
-void Network::Send(HostId from, HostId to, std::size_t bytes,
-                   obs::MsgKind kind, sim::EventFn deliver) {
+SendOutcome Network::Send(HostId from, HostId to, std::size_t bytes,
+                          obs::MsgKind kind, sim::EventFn deliver) {
   // Partition gate first: deterministic (no RNG), so an armed partition
   // cannot perturb the jitter/drop streams of surviving intra-side traffic.
   if (partition_active_) [[unlikely]] {
@@ -213,18 +199,12 @@ void Network::Send(HostId from, HostId to, std::size_t bytes,
         (partition_mask_ >> static_cast<unsigned>(hosts_[to].region)) & 1u;
     if (side_from != side_to) {
       CountDrop(kind, hosts_[from].region, DropReason::kPartitioned);
-      if (provenance_ != nullptr) [[unlikely]]
-        provenance_->FinalizeDropped(from, to,
-                                     ToEdgeDrop(DropReason::kPartitioned));
-      return;
+      return {DropReason::kPartitioned, {}};
     }
   }
   if (params_.drop_prob > 0 && rng_.NextBool(params_.drop_prob)) {
     CountDrop(kind, hosts_[from].region, DropReason::kRandomLoss);
-    if (provenance_ != nullptr) [[unlikely]]
-      provenance_->FinalizeDropped(from, to,
-                                   ToEdgeDrop(DropReason::kRandomLoss));
-    return;
+    return {DropReason::kRandomLoss, {}};
   }
   // Degradation loss draws RNG only while a window is active; outside a
   // window this branch is bit-for-bit free.
@@ -235,10 +215,7 @@ void Network::Send(HostId from, HostId to, std::size_t bytes,
     if ((touched & degradation_.region_mask) != 0 &&
         rng_.NextBool(degradation_.extra_drop_prob)) {
       CountDrop(kind, hosts_[from].region, DropReason::kDegraded);
-      if (provenance_ != nullptr) [[unlikely]]
-        provenance_->FinalizeDropped(from, to,
-                                     ToEdgeDrop(DropReason::kDegraded));
-      return;
+      return {DropReason::kDegraded, {}};
     }
   }
   const Duration delay = SampleDelay(from, to, bytes);
@@ -253,8 +230,6 @@ void Network::Send(HostId from, HostId to, std::size_t bytes,
 
   // Record-only instrumentation: nothing below samples rng_ or schedules
   // events, so an attached run replays the detached run exactly.
-  if (provenance_ != nullptr) [[unlikely]]
-    provenance_->FinalizeScheduled(from, to, arrival.micros());
   if (telemetry_ != nullptr) [[unlikely]] {
     const auto k = static_cast<std::size_t>(kind);
     if (sent_count_[k] != nullptr) {
@@ -290,9 +265,10 @@ void Network::Send(HostId from, HostId to, std::size_t bytes,
           inflight_bytes_ -= bytes;
           fn();
         }));
-    return;
+    return {std::nullopt, arrival};
   }
   sim_.ScheduleAt(arrival, std::move(deliver));
+  return {std::nullopt, arrival};
 }
 
 std::vector<DropRecord> Network::DropReport() const {

@@ -3,10 +3,16 @@
 //   delay = base(from,to) * jitter + size / min(bw_up, bw_down) + overhead
 // Delivery preserves FIFO order per (from,to) pair, matching a TCP stream
 // (devp2p runs over TCP; reordering on one connection is impossible).
+//
+// Send returns what happened to each message: its FIFO-clamped arrival time,
+// or why it was dropped. The sender records the gossip edge from that
+// outcome, and the receiver resolves it at ingress (eth/node.cpp,
+// obs/provenance_dag.hpp).
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,6 +78,12 @@ struct DropRecord {
   std::uint64_t count = 0;
 };
 
+// What Send did with one message.
+struct SendOutcome {
+  std::optional<DropReason> drop;  // set when the message was dropped
+  TimePoint arrival;               // FIFO-clamped arrival when scheduled
+};
+
 // A latency/bandwidth degradation window applied by the fault layer to every
 // link touching the scoped regions. Factors >= 1 stretch latency / shrink
 // bandwidth; extra_drop_prob adds loss on top of the baseline drop_prob.
@@ -94,12 +106,14 @@ class Network {
   Duration SampleDelay(HostId from, HostId to, std::size_t bytes);
 
   // Schedules `deliver` to run at the receiver after the sampled delay,
-  // enforcing per-(from,to) FIFO ordering. `kind` labels the message for the
+  // enforcing per-(from,to) FIFO ordering, unless a drop gate fires. Returns
+  // which of the two happened. `kind` labels the message for the
   // telemetry/drop census; the kind-less overload tags kOther.
-  void Send(HostId from, HostId to, std::size_t bytes, obs::MsgKind kind,
-            sim::EventFn deliver);
-  void Send(HostId from, HostId to, std::size_t bytes, sim::EventFn deliver) {
-    Send(from, to, bytes, obs::MsgKind::kOther, std::move(deliver));
+  SendOutcome Send(HostId from, HostId to, std::size_t bytes,
+                   obs::MsgKind kind, sim::EventFn deliver);
+  SendOutcome Send(HostId from, HostId to, std::size_t bytes,
+                   sim::EventFn deliver) {
+    return Send(from, to, bytes, obs::MsgKind::kOther, std::move(deliver));
   }
 
   // Wires metrics counters and the in-flight tracer. Must be called before
@@ -224,11 +238,6 @@ class Network {
   // branch). Instrument pointers are resolved once in AttachTelemetry.
   obs::Telemetry* telemetry_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
-  // Dissemination-provenance recorder (null = disabled). The eth layer
-  // stages an edge immediately before each Send; the network finalizes it
-  // here — dropped with the mapped reason, or scheduled with the
-  // FIFO-clamped arrival time.
-  obs::ProvenanceRecorder* provenance_ = nullptr;
   std::array<obs::Counter*, obs::kMsgKindCount> sent_count_{};
   std::array<obs::Counter*, obs::kMsgKindCount> sent_bytes_{};
   std::array<std::array<obs::Counter*, kRegionCount>, obs::kMsgKindCount>

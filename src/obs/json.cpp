@@ -225,10 +225,18 @@ bool JsonParser::Number(JsonValue* out) {
   const char* first = text_.data() + start;
   const char* last = text_.data() + pos_;
   if (integral) {
-    const auto [end, ec] = std::from_chars(first, last, out->integer);
-    if (ec == std::errc() && end == last) {
+    if (const auto [end, ec] = std::from_chars(first, last, out->integer);
+        ec == std::errc() && end == last) {
       out->type = JsonValue::Type::kInt;
+      if (out->integer >= 0)
+        out->uinteger = static_cast<std::uint64_t>(out->integer);
       out->number = static_cast<double>(out->integer);
+      return true;
+    }
+    if (const auto [end, ec] = std::from_chars(first, last, out->uinteger);
+        ec == std::errc() && end == last) {
+      out->type = JsonValue::Type::kUint;
+      out->number = static_cast<double>(out->uinteger);
       return true;
     }
   }

@@ -23,11 +23,13 @@ std::string JsonString(std::string_view s);
 
 struct JsonValue {
   // kInt is a number written without fraction or exponent that fits an
-  // int64; every other number is kDouble.
+  // int64, and kUint one above INT64_MAX that fits a uint64 (a full-range
+  // seed); every other number is kDouble.
   enum class Type : std::uint8_t {
     kNull,
     kBool,
     kInt,
+    kUint,
     kDouble,
     kString,
     kArray,
@@ -35,13 +37,18 @@ struct JsonValue {
   };
   Type type = Type::kNull;
   bool boolean = false;
-  std::int64_t integer = 0;
-  double number = 0;  // set for kInt too
+  std::int64_t integer = 0;    // kInt
+  std::uint64_t uinteger = 0;  // kUint, and every kInt >= 0
+  double number = 0;           // set for kInt and kUint too
   std::string string;
   std::vector<JsonValue> items;
   std::vector<std::pair<std::string, JsonValue>> members;  // document order
 
   bool is_int() const { return type == Type::kInt; }
+  // A non-negative integer, exact in `uinteger`.
+  bool is_uint() const {
+    return type == Type::kUint || (type == Type::kInt && integer >= 0);
+  }
   bool is_string() const { return type == Type::kString; }
   bool is_bool() const { return type == Type::kBool; }
   bool is_object() const { return type == Type::kObject; }

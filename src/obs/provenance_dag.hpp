@@ -19,34 +19,33 @@
 // change a run's results; with it disabled every hook costs one predicted
 // branch on a null pointer.
 //
-// Recording protocol (single-threaded inside one simulation world):
-//   1. The sending EthNode *stages* an edge immediately before calling
-//      Network::Send (StageBlockEdge / StageTxEdge).
-//   2. Network::Send *finalizes* the staged edge exactly once: either
-//      FinalizeDropped(reason) on a censored message or
-//      FinalizeScheduled(arrival) once the delivery is on the event queue.
+// Recording (single-threaded inside one simulation world):
+//   1. The sending EthNode calls Network::Send, which returns what happened
+//      to the message: its FIFO-clamped arrival time, or why it was dropped.
+//   2. The sender *records* the edge with that outcome in one call
+//      (RecordBlockEdge / RecordTxEdge). Send never reads recorder state, so
+//      records reach the log in send order: the row index is the send
+//      sequence number.
 //   3. The receiving EthNode *resolves* the delivery at ingress
 //      (ResolveDelivery). Per-(from,to) FIFO delivery (a Network invariant)
 //      makes the resolution a queue pop — no per-message lookup. A delivery
 //      that finds the receiver crashed is re-attributed as an `offline` drop.
-// Stage and finalize bracket one Network::Send, so records reach the log in
-// send order: the row index is the send sequence number.
 // Origins (a pool gateway injecting a freshly mined block) are recorded as
 // self-edges with hop depth 0; every relayed copy inherits depth
 // sender-first-seen + 1.
 //
-// A runtime InvariantChecker rides the same stream and verifies, per event:
-// no duplicate first-seen, no relay of a never-received block, no fetch
-// without a prior announce (or orphan-parent knowledge), no delivery to a
-// node the fault layer took down, and monotone (causal) hop depths. Each
-// violation increments a `provenance.violation{check=...}` counter in the
-// metrics registry and warns — or aborts when ETHSIM_PROVENANCE=strict.
+// A runtime invariant checker (obs/flight_recorder) rides the same stream and
+// verifies, per event: no duplicate first-seen, no relay of a never-received
+// block, no fetch without a prior announce (or orphan-parent knowledge), no
+// delivery to a node the fault layer took down, and monotone (causal) hop
+// depths. Each violation increments a `provenance.violation{check=...}`
+// counter in the metrics registry and warns — or aborts when
+// ETHSIM_PROVENANCE=strict.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -54,11 +53,9 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "obs/flight_recorder.hpp"
 
 namespace ethsim::obs {
-
-class MetricsRegistry;
-class Counter;
 
 // Edge kinds. kOrigin is the mint/injection pseudo-edge (from == to); the
 // rest mirror the wire messages of the simplified eth/63 protocol.
@@ -85,8 +82,7 @@ enum class EdgeDrop : std::uint8_t {
 inline constexpr std::size_t kEdgeDropCount = 5;
 std::string_view EdgeDropName(EdgeDrop drop);
 
-// One gossip edge, AoS form — the staged record. The log stores the same
-// fields as columns.
+// One gossip edge, AoS form. The log stores the same fields as columns.
 struct EdgeRecord {
   std::int64_t send_us = 0;
   std::int64_t arrival_us = -1;  // -1: censored inside the network
@@ -155,51 +151,16 @@ enum class InvariantCheck : std::uint8_t {
   kRelayWithoutReceive,     // push/announce/serve of a never-seen block
   kFetchWithoutAnnounce,    // GetBlock with no prior announce or orphan parent
   kDeliveryWhileOffline,    // delivered edge at a host the fault layer downed
-  kNonMonotoneHop,          // relay staged before the sender's copy arrived
+  kNonMonotoneHop,          // relay sent before the sender's copy arrived
 };
 inline constexpr std::size_t kInvariantCheckCount = 5;
 std::string_view InvariantCheckName(InvariantCheck check);
 
-// Policy + counters for stream invariants. The recorder feeds it pre-digested
-// facts (does the sender have a first-seen record? when did it arrive?), so
-// the checker holds no per-object state of its own and can be unit-tested by
-// direct calls. `fatal` escalates every violation to the handler's abort
-// path (ETHSIM_PROVENANCE=strict).
-class InvariantChecker {
- public:
-  explicit InvariantChecker(bool fatal);
-
-  // Wires provenance.violation{check=...} counters (eagerly, one per check,
-  // so the metrics stream shape is a function of config alone).
-  void AttachMetrics(MetricsRegistry* metrics);
-
-  // Fact hooks (called by the recorder).
-  void OnOrigin(std::uint32_t host, std::uint64_t object, bool already_seen);
-  void OnBlockRelayStage(EdgeKind kind, std::uint32_t from,
-                         std::uint64_t object, bool sender_has_first_seen,
-                         std::int64_t send_us,
-                         std::int64_t sender_first_seen_arrival_us);
-  void OnFetchStage(std::uint32_t from, std::uint64_t object, bool heard,
-                    bool parent_known);
-  void OnDelivery(std::uint32_t to, bool node_online, bool host_marked_down);
-
-  std::uint64_t total() const { return total_; }
-  const std::array<std::uint64_t, kInvariantCheckCount>& by_check() const {
-    return by_check_;
-  }
-
-  // Test hook: replaces the default handler (LogWarn, abort when fatal).
-  using Handler = std::function<void(InvariantCheck, const std::string&)>;
-  void set_handler(Handler handler) { handler_ = std::move(handler); }
-
- private:
-  void Violate(InvariantCheck check, std::string detail);
-
-  bool fatal_;
-  std::uint64_t total_ = 0;
-  std::array<std::uint64_t, kInvariantCheckCount> by_check_{};
-  std::array<Counter*, kInvariantCheckCount> counters_{};
-  Handler handler_;
+// What the network did with one message, as Network::Send reported it: the
+// FIFO-clamped arrival of a scheduled copy, or why it was dropped.
+struct EdgeOutcome {
+  std::int64_t arrival_us = -1;  // -1 when dropped
+  EdgeDrop drop = EdgeDrop::kNone;
 };
 
 struct ProvenanceConfig {
@@ -209,6 +170,8 @@ struct ProvenanceConfig {
 
 class ProvenanceRecorder {
  public:
+  using Checker = InvariantChecker<InvariantCheck, kInvariantCheckCount>;
+
   explicit ProvenanceRecorder(ProvenanceConfig config);
   ProvenanceRecorder(const ProvenanceRecorder&) = delete;
   ProvenanceRecorder& operator=(const ProvenanceRecorder&) = delete;
@@ -218,24 +181,24 @@ class ProvenanceRecorder {
 
   // Declares a host and its region (net::Region index). Called from
   // EthNode::AttachTelemetry; hosts appearing in edges without registration
-  // get region 0xff in the artifact host table.
+  // get kUnknownRegion in the artifact host table.
   void RegisterHost(std::uint32_t host, std::uint8_t region);
 
-  // --- producer hooks (see file comment for the 3-step protocol) ----------
+  // --- producer hooks (see the file comment) ------------------------------
   void RecordOrigin(std::uint32_t host, const Hash32& hash,
                     const Hash32& parent, std::uint64_t number,
                     std::int64_t now_us);
-  void StageBlockEdge(std::uint32_t from, std::uint32_t to, EdgeKind kind,
-                      const Hash32& hash, std::uint64_t number,
-                      const Hash32* parent, std::size_t bytes,
-                      std::int64_t now_us);
-  void StageTxEdge(std::uint32_t from, std::uint32_t to, std::size_t tx_count,
-                   std::size_t bytes, std::int64_t now_us);
-  void FinalizeScheduled(std::uint32_t from, std::uint32_t to,
-                         std::int64_t arrival_us);
-  void FinalizeDropped(std::uint32_t from, std::uint32_t to, EdgeDrop reason);
-  void ResolveDelivery(std::uint32_t from, std::uint32_t to, bool online,
-                       std::int64_t now_us);
+  // One edge each, recorded right after Network::Send returned `outcome`.
+  // A block message inherits its hop depth from the sender's first-seen
+  // record; `parent` is set for block bodies only.
+  void RecordBlockEdge(std::uint32_t from, std::uint32_t to, EdgeKind kind,
+                       const Hash32& hash, std::uint64_t number,
+                       const Hash32* parent, std::size_t bytes,
+                       std::int64_t send_us, EdgeOutcome outcome);
+  void RecordTxEdge(std::uint32_t from, std::uint32_t to, std::size_t tx_count,
+                    std::size_t bytes, std::int64_t send_us,
+                    EdgeOutcome outcome);
+  void ResolveDelivery(std::uint32_t from, std::uint32_t to, bool online);
 
   // Fault-layer attribution: FaultController marks hosts it took down so
   // the offline invariant can distinguish "correctly dropped at a crashed
@@ -245,14 +208,14 @@ class ProvenanceRecorder {
   // Run cutoff for the artifact (edges scheduled past it were in flight).
   void SetEndTime(std::int64_t end_us) { log_.end_us = end_us; }
 
-  // Reports stage/finalize/resolve resyncs and returns the finished log.
-  // Idempotent; recording after Finish is a programming error.
-  const ProvenanceLog& Finish();
+  // The finished log, in send order; recording after Finish is a
+  // programming error.
+  const ProvenanceLog& Finish() const { return log_; }
 
   std::uint64_t edges_recorded() const { return log_.size(); }
   std::uint64_t violations() const { return checker_.total(); }
-  InvariantChecker& checker() { return checker_; }
-  const InvariantChecker& checker() const { return checker_; }
+  Checker& checker() { return checker_; }
+  const Checker& checker() const { return checker_; }
 
   // The depth at which `host` first saw `object` (its first-seen record);
   // false when the host never heard of it. Exposed for tests.
@@ -275,37 +238,29 @@ class ProvenanceRecorder {
     std::unordered_set<std::uint64_t> known_parents;
     bool marked_down = false;  // fault-layer view (NoteHostOnline)
   };
-  // Log row of a scheduled edge awaiting ingress resolution.
-  struct PendingDelivery {
-    std::size_t row;
-  };
 
   HostState& Host(std::uint32_t host);
-  void CommitStaged(std::int64_t arrival_us, EdgeDrop drop);
+  const FirstSeen* FindFirstSeen(std::uint32_t host,
+                                 std::uint64_t object) const;
+  // Fills in the outcome and appends the edge; a scheduled copy also updates
+  // the receiver's state and joins its pair's delivery FIFO.
+  void Append(EdgeRecord edge, EdgeOutcome outcome);
   // Updates the receiver's first-seen record from a scheduled block-message
   // edge (min-arrival wins; deterministic, see .cpp).
   void NoteFirstSeen(std::uint32_t host, std::uint64_t object,
                      std::int64_t arrival_us, std::uint16_t depth);
 
-  InvariantChecker checker_;
-
-  // Staged-but-unfinalized edge (at most one; stage and finalize bracket a
-  // single Network::Send call).
-  EdgeRecord staged_;
-  bool staged_active_ = false;
-
-  bool finished_ = false;
-
+  Checker checker_;
   ProvenanceLog log_;
 
-  // In-flight deliveries per directed (from,to) pair, popped FIFO at ingress.
-  std::unordered_map<std::uint64_t, std::deque<PendingDelivery>> pending_;
+  // Log rows of scheduled edges per directed (from,to) pair, popped FIFO at
+  // ingress.
+  std::unordered_map<std::uint64_t, std::deque<std::size_t>> pending_;
 
   std::unordered_map<std::uint64_t, ObjectState> objects_;
   std::vector<HostState> hosts_;
 
   std::array<Counter*, kEdgeKindCount> edge_count_{};
-  std::uint64_t resync_warnings_ = 0;
 };
 
 }  // namespace ethsim::obs

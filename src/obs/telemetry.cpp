@@ -121,8 +121,6 @@ bool Telemetry::WriteArtifacts(const std::string& dir,
     LogError("telemetry", "failed writing %s", log_error.c_str());
     return false;
   };
-  // unique_ptr does not propagate const: finishing a recorder (not a
-  // mutation of results) is fine from this const facade.
   return (!provenance_ || write_log("provenance.bin", provenance_->Finish())) &&
          (!sampler_ || write_log("timeseries.bin", sampler_->log())) &&
          (!txprov_ || write_log("txprov.bin", txprov_->Finish()));

@@ -14,25 +14,12 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "obs/columns.hpp"
-#include "obs/diag.hpp"
 #include "obs/metrics.hpp"
 
 namespace ethsim::obs {
-
-namespace {
-
-constexpr std::uint8_t kUnknownRegion = 0xff;
-
-// How many individual violations get a log line before we go quiet (the
-// counters keep the full tally either way).
-constexpr std::uint64_t kMaxLoggedViolations = 16;
-
-}  // namespace
 
 std::string_view TxStageName(TxStage stage) {
   switch (stage) {
@@ -149,89 +136,11 @@ bool TxProvLog::ReadBinary(const std::string& path, TxProvLog* out,
 }
 
 // ---------------------------------------------------------------------------
-// TxInvariantChecker
-
-TxInvariantChecker::TxInvariantChecker(bool fatal) : fatal_(fatal) {}
-
-void TxInvariantChecker::AttachMetrics(MetricsRegistry* metrics) {
-  if (metrics == nullptr) return;
-  for (std::size_t i = 0; i < kTxInvariantCount; ++i) {
-    const auto check = static_cast<TxInvariant>(i);
-    counters_[i] = metrics->GetCounter(
-        LabeledName("txprov.violation", {{"check", TxInvariantName(check)}}));
-  }
-}
-
-void TxInvariantChecker::Violate(TxInvariant check, std::string detail) {
-  ++total_;
-  ++by_check_[static_cast<std::size_t>(check)];
-  if (Counter* c = counters_[static_cast<std::size_t>(check)]) c->Add();
-  if (handler_) {
-    handler_(check, detail);
-    return;
-  }
-  if (total_ <= kMaxLoggedViolations) {
-    LogWarn("txprov", "invariant %s violated: %s",
-            std::string(TxInvariantName(check)).c_str(), detail.c_str());
-    if (total_ == kMaxLoggedViolations) {
-      LogWarn("txprov",
-              "further invariant violations will be counted but not logged");
-    }
-  }
-  if (fatal_) {
-    LogError("txprov", "aborting on invariant violation (%s): %s",
-             std::string(TxInvariantName(check)).c_str(), detail.c_str());
-    std::abort();
-  }
-}
-
-void TxInvariantChecker::OnStage(TxStage stage, std::uint64_t tx,
-                                 std::int64_t t_us, std::int64_t last_t_us) {
-  if (t_us < last_t_us) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "tx %016" PRIx64 " stage %s at t=%" PRId64
-                  "us is earlier than its prior record (t=%" PRId64 "us)",
-                  tx, std::string(TxStageName(stage)).c_str(), t_us,
-                  last_t_us);
-    Violate(TxInvariant::kNonMonotoneStage, buf);
-  }
-}
-
-void TxInvariantChecker::OnInclude(std::uint64_t tx, bool ever_admitted) {
-  if (!ever_admitted) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  "tx %016" PRIx64 " included without any pool admission", tx);
-    Violate(TxInvariant::kIncludeWithoutAdmit, buf);
-  }
-}
-
-void TxInvariantChecker::OnOrphanReturn(std::uint64_t tx,
-                                        bool currently_included) {
-  if (!currently_included) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  "tx %016" PRIx64 " orphan-returned without a live inclusion",
-                  tx);
-    Violate(TxInvariant::kOrphanReturnWithoutInclude, buf);
-  }
-}
-
-void TxInvariantChecker::OnCommit(std::uint64_t tx, bool currently_included) {
-  if (!currently_included) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  "tx %016" PRIx64 " committed while not included", tx);
-    Violate(TxInvariant::kCommitBeforeInclude, buf);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // TxProvRecorder
 
 TxProvRecorder::TxProvRecorder(TxProvConfig config)
-    : config_(std::move(config)), checker_(config_.fatal_invariants) {
+    : config_(std::move(config)),
+      checker_("txprov", TxInvariantName, config_.fatal_invariants) {
   if (config_.confirmation_depths.empty())
     config_.confirmation_depths = {0};
   // The per-tx committed mask is a u32 bitfield, one bit per depth.
@@ -251,10 +160,7 @@ void TxProvRecorder::AttachMetrics(MetricsRegistry* metrics) {
 }
 
 void TxProvRecorder::RegisterHost(std::uint32_t host, std::uint8_t region) {
-  if (host >= log_.host_region.size()) {
-    log_.host_region.resize(host + 1, kUnknownRegion);
-  }
-  log_.host_region[host] = region;
+  SetHostRegion(log_.host_region, host, region);
 }
 
 void TxProvRecorder::MarkVantage(std::uint32_t host) {
@@ -271,7 +177,11 @@ void TxProvRecorder::Append(TxStage stage, std::uint64_t tx, std::int64_t t_us,
                             std::uint32_t host, std::uint16_t info,
                             std::uint64_t aux, std::uint64_t number) {
   TxState& state = State(tx);
-  checker_.OnStage(stage, tx, t_us, state.last_t_us);
+  if (t_us < state.last_t_us)
+    checker_.Violate(TxInvariant::kNonMonotoneStage,
+                     "tx %016" PRIx64 " stage %s at t=%" PRId64
+                     "us is earlier than its prior record (t=%" PRId64 "us)",
+                     tx, TxStageName(stage).data(), t_us, state.last_t_us);
   if (t_us > state.last_t_us) state.last_t_us = t_us;
   log_.t_us.push_back(t_us);
   log_.tx.push_back(tx);
@@ -335,7 +245,10 @@ void TxProvRecorder::RecordIncluded(std::uint32_t host, const Hash32& hash,
   if (!IsAnchor(host)) return;
   const std::uint64_t tx = hash.prefix_u64();
   TxState& state = State(tx);
-  checker_.OnInclude(tx, state.admitted);
+  if (!state.admitted)
+    checker_.Violate(TxInvariant::kIncludeWithoutAdmit,
+                     "tx %016" PRIx64 " included without any pool admission",
+                     tx);
   ++state.include_count;
   state.include_height = height;
   state.include_block = block.prefix_u64();
@@ -355,8 +268,13 @@ void TxProvRecorder::RecordOrphanReturned(std::uint32_t host,
   if (!IsAnchor(host)) return;
   const std::uint64_t tx = hash.prefix_u64();
   TxState& state = State(tx);
-  checker_.OnOrphanReturn(tx, state.include_count > 0);
-  if (state.include_count > 0) --state.include_count;
+  if (state.include_count == 0)
+    checker_.Violate(TxInvariant::kOrphanReturnWithoutInclude,
+                     "tx %016" PRIx64
+                     " orphan-returned without a live inclusion",
+                     tx);
+  else
+    --state.include_count;
   Append(TxStage::kOrphanReturned, tx, t_us, host, 0, block.prefix_u64(),
          height);
 }
@@ -380,7 +298,10 @@ void TxProvRecorder::AdvanceHead(std::uint32_t host, std::uint64_t head_number,
         continue;
       const std::uint32_t bit = 1u << pending.depth_index;
       if ((state.committed_mask & bit) != 0) continue;
-      checker_.OnCommit(pending.tx, state.include_count > 0);
+      if (state.include_count == 0)
+        checker_.Violate(TxInvariant::kCommitBeforeInclude,
+                         "tx %016" PRIx64 " committed while not included",
+                         pending.tx);
       state.committed_mask |= bit;
       Append(TxStage::kCommitted, pending.tx, t_us, host,
              static_cast<std::uint16_t>(

@@ -34,17 +34,16 @@
 //     which is nodes_[0]) so the canonical-chain story is a single
 //     consistent timeline rather than N racing ones.
 //
-// A runtime TxInvariantChecker rides the stream and verifies stage
-// monotonicity (per-tx record times never go backwards), no inclusion of a
-// never-admitted tx, no orphan-return without a live inclusion, and no
-// commit before inclusion. Each violation increments a
+// A runtime invariant checker (obs/flight_recorder) rides the stream and
+// verifies stage monotonicity (per-tx record times never go backwards), no
+// inclusion of a never-admitted tx, no orphan-return without a live
+// inclusion, and no commit before inclusion. Each violation increments a
 // `txprov.violation{check=...}` counter and warns — or aborts when
 // ETHSIM_TXPROV=strict.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -52,11 +51,9 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "obs/flight_recorder.hpp"
 
 namespace ethsim::obs {
-
-class MetricsRegistry;
-class Counter;
 
 // Lifecycle stages. The `info`/`aux`/`number` columns are stage-specific;
 // see each enumerator.
@@ -103,7 +100,7 @@ struct TxProvLog {
   std::vector<std::uint64_t> aux;
   std::vector<std::uint64_t> number;
 
-  // Host id -> region index (net::Region); 0xff = unknown.
+  // Host id -> region index (net::Region); kUnknownRegion when unregistered.
   std::vector<std::uint8_t> host_region;
   // Confirmation depths the recorder swept (kCommitted's info domain).
   std::vector<std::uint64_t> depths;
@@ -133,45 +130,6 @@ enum class TxInvariant : std::uint8_t {
 inline constexpr std::size_t kTxInvariantCount = 4;
 std::string_view TxInvariantName(TxInvariant check);
 
-// Policy + counters for the stream invariants. The recorder feeds it
-// pre-digested facts (is this record's time monotone? was the tx ever
-// admitted?), so the checker holds no per-tx state of its own and can be
-// unit-tested by direct calls. `fatal` escalates every violation to abort
-// (ETHSIM_TXPROV=strict).
-class TxInvariantChecker {
- public:
-  explicit TxInvariantChecker(bool fatal);
-
-  // Wires txprov.violation{check=...} counters (eagerly, one per check, so
-  // the metrics stream shape is a function of config alone).
-  void AttachMetrics(MetricsRegistry* metrics);
-
-  // Fact hooks (called by the recorder).
-  void OnStage(TxStage stage, std::uint64_t tx, std::int64_t t_us,
-               std::int64_t last_t_us);
-  void OnInclude(std::uint64_t tx, bool ever_admitted);
-  void OnOrphanReturn(std::uint64_t tx, bool currently_included);
-  void OnCommit(std::uint64_t tx, bool currently_included);
-
-  std::uint64_t total() const { return total_; }
-  const std::array<std::uint64_t, kTxInvariantCount>& by_check() const {
-    return by_check_;
-  }
-
-  // Test hook: replaces the default handler (LogWarn, abort when fatal).
-  using Handler = std::function<void(TxInvariant, const std::string&)>;
-  void set_handler(Handler handler) { handler_ = std::move(handler); }
-
- private:
-  void Violate(TxInvariant check, std::string detail);
-
-  bool fatal_;
-  std::uint64_t total_ = 0;
-  std::array<std::uint64_t, kTxInvariantCount> by_check_{};
-  std::array<Counter*, kTxInvariantCount> counters_{};
-  Handler handler_;
-};
-
 struct TxProvConfig {
   // Abort (after logging) on the first invariant violation.
   bool fatal_invariants = false;
@@ -183,6 +141,8 @@ struct TxProvConfig {
 
 class TxProvRecorder {
  public:
+  using Checker = InvariantChecker<TxInvariant, kTxInvariantCount>;
+
   explicit TxProvRecorder(TxProvConfig config);
   TxProvRecorder(const TxProvRecorder&) = delete;
   TxProvRecorder& operator=(const TxProvRecorder&) = delete;
@@ -192,7 +152,7 @@ class TxProvRecorder {
 
   // Declares a host and its region (net::Region index). Called from
   // EthNode::AttachTelemetry; hosts appearing in records without
-  // registration get region 0xff in the artifact host table.
+  // registration get kUnknownRegion in the artifact host table.
   void RegisterHost(std::uint32_t host, std::uint8_t region);
   // Role scoping (see file comment). core::Experiment marks the measurement
   // vantages and the commit anchor after building the overlay.
@@ -238,8 +198,8 @@ class TxProvRecorder {
 
   std::uint64_t records_recorded() const { return log_.size(); }
   std::uint64_t violations() const { return checker_.total(); }
-  TxInvariantChecker& checker() { return checker_; }
-  const TxInvariantChecker& checker() const { return checker_; }
+  Checker& checker() { return checker_; }
+  const Checker& checker() const { return checker_; }
   const std::vector<std::uint64_t>& confirmation_depths() const {
     return config_.confirmation_depths;
   }
@@ -270,7 +230,7 @@ class TxProvRecorder {
               std::uint64_t number);
 
   TxProvConfig config_;
-  TxInvariantChecker checker_;
+  Checker checker_;
 
   TxProvLog log_;
   std::unordered_map<std::uint64_t, TxState> txs_;

@@ -9,6 +9,7 @@
 
 #include "analysis/commit.hpp"
 #include "analysis/demand.hpp"
+#include "check/oracles.hpp"
 #include "core/experiment.hpp"
 
 namespace ethsim {
@@ -24,15 +25,6 @@ core::ExperimentConfig SmokeConfig() {
   return cfg;
 }
 
-analysis::StudyInputs InputsFor(const core::Experiment& exp) {
-  analysis::StudyInputs inputs;
-  for (const auto& obs : exp.observers()) inputs.observers.push_back(obs.get());
-  inputs.minted = &exp.minted();
-  inputs.pools = &exp.config().pools;
-  inputs.reference = &exp.reference_tree();
-  return inputs;
-}
-
 TEST(LatencyStages, ReconcilesWithCommitAndDemand) {
   core::Experiment exp{SmokeConfig()};
   exp.Run();
@@ -44,7 +36,7 @@ TEST(LatencyStages, ReconcilesWithCommitAndDemand) {
   const obs::TxProvLog& log = txprov->Finish();
   ASSERT_GT(log.size(), 0u);
 
-  const auto inputs = InputsFor(exp);
+  const auto inputs = check::MakeStudyInputs(exp);
   const auto commit = analysis::TransactionCommitTimes(inputs, kDepths);
   const auto demand = analysis::AnalyzeDemand(
       inputs, exp.workload().submitted(), exp.workload().plan(), kDepths);

@@ -9,6 +9,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "check/scenario.hpp"
 
@@ -89,6 +91,58 @@ TEST(ReproRoundTrip, WriteThenReadPreservesEveryField) {
   EXPECT_EQ(loaded.scenario.min_minutes, 3);
   EXPECT_EQ(loaded.scenario.max_minutes, 7);
   EXPECT_EQ(loaded.mutations, spec.mutations);
+}
+
+TEST(ReproRoundTrip, FullRangeSeedRoundTrips) {
+  ReproSpec spec;
+  spec.fuzz_seed = 18446744073709551615u;
+  spec.name = "chain-invariants";
+  const std::string path = testing::TempDir() + "ethsim_fuzz_max_seed.json";
+  std::string error;
+  ASSERT_TRUE(WriteRepro(path, spec, &error)) << error;
+  ReproSpec loaded;
+  ASSERT_TRUE(ReadRepro(path, &loaded, &error)) << error;
+  EXPECT_EQ(loaded.fuzz_seed, 18446744073709551615u);
+}
+
+// Writes `text` to a scratch repro path and returns that path.
+std::string WriteText(const std::string& name, const std::string& text) {
+  const std::string path = testing::TempDir() + name;
+  std::ofstream(path, std::ios::trunc) << text;
+  return path;
+}
+
+TEST(ReproRoundTrip, ReadsAnyValidJsonLayout) {
+  const std::string path = WriteText(
+      "ethsim_fuzz_spaced.json",
+      R"({ "fuzz_seed" : 7 , "index" : 2, "kind" : "oracle",
+           "name" : "drop-census", "mutations" : [ "halve-nodes" ] })");
+  ReproSpec spec;
+  std::string error;
+  ASSERT_TRUE(ReadRepro(path, &spec, &error)) << error;
+  EXPECT_EQ(spec.fuzz_seed, 7u);
+  EXPECT_EQ(spec.index, 2u);
+  EXPECT_EQ(spec.name, "drop-census");
+  EXPECT_EQ(spec.mutations, std::vector<std::string>{"halve-nodes"});
+}
+
+TEST(ReproRoundTrip, RejectsMalformedFiles) {
+  const std::string members =
+      R"("fuzz_seed": 1, "index": 0, "kind": "oracle", "name": "x")";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"trailing bytes", "{" + members + "} trailing"},
+      {"missing key", R"({"fuzz_seed": 1, "index": 0, "kind": "oracle"})"},
+      {"wrong type", R"({"fuzz_seed": "1", "index": 0, "kind": "oracle",
+                         "name": "x"})"},
+      {"not JSON", members},
+  };
+  for (const auto& [what, text] : cases) {
+    const std::string path = WriteText("ethsim_fuzz_bad.json", text);
+    ReproSpec spec;
+    std::string error;
+    EXPECT_FALSE(ReadRepro(path, &spec, &error)) << what;
+    EXPECT_NE(error.find("is not a repro file"), std::string::npos) << what;
+  }
 }
 
 TEST(ReproRoundTrip, MissingFileFailsWithError) {

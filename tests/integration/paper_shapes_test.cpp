@@ -11,19 +11,11 @@
 #include "analysis/ordering.hpp"
 #include "analysis/propagation.hpp"
 #include "analysis/rewards.hpp"
+#include "check/oracles.hpp"
 #include "core/experiment.hpp"
 
 namespace ethsim {
 namespace {
-
-analysis::StudyInputs InputsFor(const core::Experiment& exp) {
-  analysis::StudyInputs inputs;
-  for (const auto& obs : exp.observers()) inputs.observers.push_back(obs.get());
-  inputs.minted = &exp.minted();
-  inputs.pools = &exp.config().pools;
-  inputs.reference = &exp.reference_tree();
-  return inputs;
-}
 
 TEST(PaperShapes, GeographyAndPropagation) {
   core::ExperimentConfig cfg = core::presets::SmallStudy(120);
@@ -32,7 +24,7 @@ TEST(PaperShapes, GeographyAndPropagation) {
   cfg.seed = 42;
   core::Experiment exp{cfg};
   exp.Run();
-  const auto inputs = InputsFor(exp);
+  const auto inputs = check::MakeStudyInputs(exp);
 
   // Fig 1 shape: median block propagation within the paper's order of
   // magnitude and a meaningful tail.
@@ -61,7 +53,7 @@ TEST(PaperShapes, ForksUnclesAndSelfishBehavior) {
   cfg.seed = 7;
   core::Experiment exp{cfg};
   exp.Run();
-  const auto inputs = InputsFor(exp);
+  const auto inputs = check::MakeStudyInputs(exp);
 
   // Table III shape: ~7% of blocks fork; the overwhelming majority of
   // length-1 forks get recognized as uncles.
@@ -101,7 +93,7 @@ TEST(PaperShapes, CommitTimesAndOrdering) {
   cfg.seed = 3;
   core::Experiment exp{cfg};
   exp.Run();
-  const auto inputs = InputsFor(exp);
+  const auto inputs = check::MakeStudyInputs(exp);
 
   // Fig 4 shape: 12-conf commit near 12-13 inter-block times.
   const auto commit = analysis::TransactionCommitTimes(inputs, {0, 12});

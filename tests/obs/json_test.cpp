@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 namespace ethsim::obs {
@@ -30,6 +31,32 @@ TEST(Json, ParsesEveryValueKind) {
   // Integers past int64 are numbers, not ints.
   EXPECT_EQ(doc.Find("big")->type, JsonValue::Type::kDouble);
   EXPECT_EQ(doc.Find("missing"), nullptr);
+}
+
+TEST(Json, KeepsUnsignedIntegersAboveInt64MaxExact) {
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(ParseJson(
+      R"({"max": 18446744073709551615, "above": 9223372036854775808,
+          "small": 7, "neg": -1, "over": 18446744073709551616})",
+      &doc, &error))
+      << error;
+  const JsonValue& max = *doc.Find("max");
+  EXPECT_EQ(max.type, JsonValue::Type::kUint);
+  EXPECT_TRUE(max.is_uint());
+  EXPECT_FALSE(max.is_int());
+  EXPECT_EQ(max.uinteger, UINT64_MAX);
+  EXPECT_EQ(doc.Find("above")->uinteger, std::uint64_t{INT64_MAX} + 1);
+  // Integers that fit an int64 stay kInt; the non-negative ones read as
+  // unsigned too.
+  EXPECT_TRUE(doc.Find("small")->is_int());
+  EXPECT_TRUE(doc.Find("small")->is_uint());
+  EXPECT_EQ(doc.Find("small")->uinteger, 7u);
+  EXPECT_TRUE(doc.Find("neg")->is_int());
+  EXPECT_FALSE(doc.Find("neg")->is_uint());
+  // Past uint64 a number is a double.
+  EXPECT_EQ(doc.Find("over")->type, JsonValue::Type::kDouble);
+  EXPECT_FALSE(doc.Find("over")->is_uint());
 }
 
 TEST(Json, RejectsMalformedDocuments) {

@@ -1,8 +1,8 @@
-// Unit tests for the provenance recorder: the 3-step stage/finalize/resolve
-// protocol, per-(from,to) FIFO resolution, hop-depth inheritance, global
-// send order across interleaved senders, late offline re-attribution, the
-// binary artifact round-trip, and every invariant check (driven through
-// set_handler so no test aborts the process).
+// Unit tests for the provenance recorder: send-time recording with the
+// network's outcome, per-(from,to) FIFO resolution at ingress, hop-depth
+// inheritance, global send order across interleaved senders, late offline
+// re-attribution, the binary artifact round-trip, and every invariant check
+// (driven through set_handler, plus one death test of the strict abort).
 #include "obs/provenance_dag.hpp"
 
 #include <gtest/gtest.h>
@@ -25,6 +25,12 @@ Hash32 H(std::uint8_t tag) {
 
 std::uint64_t Prefix(std::uint8_t tag) { return H(tag).prefix_u64(); }
 
+// Network::Send outcomes as the recorder sees them.
+EdgeOutcome Arrives(std::int64_t arrival_us) {
+  return {arrival_us, EdgeDrop::kNone};
+}
+EdgeOutcome Dropped(EdgeDrop reason) { return {-1, reason}; }
+
 // A recorder with hosts 0..n-1 registered and a non-aborting checker whose
 // violations are collected into `violations`.
 struct Harness {
@@ -39,14 +45,13 @@ struct Harness {
                              static_cast<std::uint8_t>(i % 7));
   }
 
-  // Stage + schedule + resolve one block-message edge in one call.
+  // Record + resolve one delivered block-message edge.
   void Relay(std::uint32_t from, std::uint32_t to, EdgeKind kind,
              std::uint8_t tag, std::int64_t send_us, std::int64_t arrival_us,
              std::uint64_t number = 1) {
-    recorder->StageBlockEdge(from, to, kind, H(tag), number, nullptr, 600,
-                             send_us);
-    recorder->FinalizeScheduled(from, to, arrival_us);
-    recorder->ResolveDelivery(from, to, /*online=*/true, arrival_us);
+    recorder->RecordBlockEdge(from, to, kind, H(tag), number, nullptr, 600,
+                              send_us, Arrives(arrival_us));
+    recorder->ResolveDelivery(from, to, /*online=*/true);
   }
 
   std::unique_ptr<ProvenanceRecorder> recorder;
@@ -105,17 +110,14 @@ TEST(ProvenanceRecorder, PerPairFifoResolvesInOrderAcrossKinds) {
   h.recorder->RecordOrigin(0, H(1), H(9), 100, 0);
   // Interleave a tx batch between two block messages on the same pair; the
   // resolution pops must track schedule order, not kind.
-  h.recorder->StageBlockEdge(0, 1, EdgeKind::kAnnouncement, H(1), 100, nullptr,
-                             40, 10);
-  h.recorder->FinalizeScheduled(0, 1, 100);
-  h.recorder->StageTxEdge(0, 1, 3, 300, 20);
-  h.recorder->FinalizeScheduled(0, 1, 110);
-  h.recorder->StageBlockEdge(0, 1, EdgeKind::kNewBlock, H(1), 100, nullptr,
-                             600, 30);
-  h.recorder->FinalizeScheduled(0, 1, 120);
-  h.recorder->ResolveDelivery(0, 1, true, 100);
-  h.recorder->ResolveDelivery(0, 1, true, 110);
-  h.recorder->ResolveDelivery(0, 1, true, 120);
+  h.recorder->RecordBlockEdge(0, 1, EdgeKind::kAnnouncement, H(1), 100,
+                              nullptr, 40, 10, Arrives(100));
+  h.recorder->RecordTxEdge(0, 1, 3, 300, 20, Arrives(110));
+  h.recorder->RecordBlockEdge(0, 1, EdgeKind::kNewBlock, H(1), 100, nullptr,
+                              600, 30, Arrives(120));
+  h.recorder->ResolveDelivery(0, 1, true);
+  h.recorder->ResolveDelivery(0, 1, true);
+  h.recorder->ResolveDelivery(0, 1, true);
   EXPECT_TRUE(h.violations.empty());
   const ProvenanceLog& log = h.recorder->Finish();
   ASSERT_EQ(log.size(), 4u);
@@ -128,9 +130,8 @@ TEST(ProvenanceRecorder, PerPairFifoResolvesInOrderAcrossKinds) {
 TEST(ProvenanceRecorder, DroppedEdgeNeverEntersFifoOrFirstSeen) {
   Harness h{2};
   h.recorder->RecordOrigin(0, H(1), H(9), 100, 0);
-  h.recorder->StageBlockEdge(0, 1, EdgeKind::kNewBlock, H(1), 100, nullptr,
-                             600, 10);
-  h.recorder->FinalizeDropped(0, 1, EdgeDrop::kRandomLoss);
+  h.recorder->RecordBlockEdge(0, 1, EdgeKind::kNewBlock, H(1), 100, nullptr,
+                              600, 10, Dropped(EdgeDrop::kRandomLoss));
   std::uint16_t depth = 0;
   EXPECT_FALSE(h.recorder->FirstSeenDepth(1, Prefix(1), &depth));
   const ProvenanceLog& log = h.recorder->Finish();
@@ -143,11 +144,10 @@ TEST(ProvenanceRecorder, DroppedEdgeNeverEntersFifoOrFirstSeen) {
 TEST(ProvenanceRecorder, OfflineIngressIsReattributedAtFinish) {
   Harness h{2};
   h.recorder->RecordOrigin(0, H(1), H(9), 100, 0);
-  h.recorder->StageBlockEdge(0, 1, EdgeKind::kNewBlock, H(1), 100, nullptr,
-                             600, 10);
-  h.recorder->FinalizeScheduled(0, 1, 100);
+  h.recorder->RecordBlockEdge(0, 1, EdgeKind::kNewBlock, H(1), 100, nullptr,
+                              600, 10, Arrives(100));
   // Receiver crashed while the copy was in flight.
-  h.recorder->ResolveDelivery(0, 1, /*online=*/false, 100);
+  h.recorder->ResolveDelivery(0, 1, /*online=*/false);
   const ProvenanceLog& log = h.recorder->Finish();
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(static_cast<EdgeDrop>(log.drop[1]), EdgeDrop::kOffline);
@@ -175,9 +175,9 @@ TEST(ProvenanceRecorder, EndTimeExcludesInFlightEdges) {
   Harness h{2};
   h.recorder->RecordOrigin(0, H(1), H(9), 100, 0);
   h.Relay(0, 1, EdgeKind::kNewBlock, 1, 10, 1000);
-  h.recorder->StageBlockEdge(0, 1, EdgeKind::kAnnouncement, H(1), 100, nullptr,
-                             40, 20);
-  h.recorder->FinalizeScheduled(0, 1, 9000);  // past cutoff, never resolved
+  h.recorder->RecordBlockEdge(0, 1, EdgeKind::kAnnouncement, H(1), 100,
+                              nullptr, 40, 20,
+                              Arrives(9000));  // past cutoff, never resolved
   h.recorder->SetEndTime(5000);
   const ProvenanceLog& log = h.recorder->Finish();
   EXPECT_EQ(log.end_us, 5000);
@@ -191,9 +191,8 @@ TEST(ProvenanceRecorder, BinaryArtifactRoundTripsBitExact) {
   h.recorder->RecordOrigin(0, H(1), H(9), 100, 0);
   h.Relay(0, 1, EdgeKind::kNewBlock, 1, 10, 1000);
   h.Relay(0, 2, EdgeKind::kAnnouncement, 1, 20, 1100);
-  h.recorder->StageBlockEdge(2, 0, EdgeKind::kGetBlock, H(1), 100, nullptr, 48,
-                             1200);
-  h.recorder->FinalizeDropped(2, 0, EdgeDrop::kPartitioned);
+  h.recorder->RecordBlockEdge(2, 0, EdgeKind::kGetBlock, H(1), 100, nullptr, 48,
+                              1200, Dropped(EdgeDrop::kPartitioned));
   h.recorder->SetEndTime(60'000'000);
 
   const std::string path =
@@ -256,10 +255,9 @@ TEST(ProvenanceInvariants, RelayWithoutReceiveFlagged) {
 
 TEST(ProvenanceInvariants, FetchWithoutAnnounceFlagged) {
   Harness h{2};
-  h.recorder->StageBlockEdge(0, 1, EdgeKind::kGetBlock, H(7), 100, nullptr, 48,
-                             10);
-  h.recorder->FinalizeScheduled(0, 1, 100);
-  h.recorder->ResolveDelivery(0, 1, true, 100);
+  h.recorder->RecordBlockEdge(0, 1, EdgeKind::kGetBlock, H(7), 100, nullptr, 48,
+                              10, Arrives(100));
+  h.recorder->ResolveDelivery(0, 1, true);
   ASSERT_EQ(h.violations.size(), 1u);
   EXPECT_EQ(h.violations[0].first, InvariantCheck::kFetchWithoutAnnounce);
 }
@@ -269,15 +267,13 @@ TEST(ProvenanceInvariants, OrphanParentFetchIsLegitimate) {
   h.recorder->RecordOrigin(0, H(2), H(1), 101, 0);  // block 2's parent is 1
   // Host 1 receives block 2's full body -> learns parent prefix H(1).
   Hash32 parent = H(1);
-  h.recorder->StageBlockEdge(0, 1, EdgeKind::kNewBlock, H(2), 101, &parent,
-                             600, 10);
-  h.recorder->FinalizeScheduled(0, 1, 100);
-  h.recorder->ResolveDelivery(0, 1, true, 100);
+  h.recorder->RecordBlockEdge(0, 1, EdgeKind::kNewBlock, H(2), 101, &parent,
+                              600, 10, Arrives(100));
+  h.recorder->ResolveDelivery(0, 1, true);
   // Host 1 fetches the never-announced parent: orphan path, no violation.
-  h.recorder->StageBlockEdge(1, 0, EdgeKind::kGetBlock, H(1), 100, nullptr, 48,
-                             200);
-  h.recorder->FinalizeScheduled(1, 0, 300);
-  h.recorder->ResolveDelivery(1, 0, true, 300);
+  h.recorder->RecordBlockEdge(1, 0, EdgeKind::kGetBlock, H(1), 100, nullptr, 48,
+                              200, Arrives(300));
+  h.recorder->ResolveDelivery(1, 0, true);
   EXPECT_TRUE(h.violations.empty());
 }
 
@@ -296,18 +292,25 @@ TEST(ProvenanceInvariants, DeliveryWhileMarkedDownFlagged) {
   Harness h{2};
   h.recorder->RecordOrigin(0, H(1), H(9), 100, 0);
   h.recorder->NoteHostOnline(1, false);  // fault layer downed host 1
-  h.recorder->StageBlockEdge(0, 1, EdgeKind::kNewBlock, H(1), 100, nullptr,
-                             600, 10);
-  h.recorder->FinalizeScheduled(0, 1, 100);
+  h.recorder->RecordBlockEdge(0, 1, EdgeKind::kNewBlock, H(1), 100, nullptr,
+                              600, 10, Arrives(100));
   // The node nonetheless processes the delivery (online=true): inconsistency
   // between the fault layer's view and the node's.
-  h.recorder->ResolveDelivery(0, 1, /*online=*/true, 100);
+  h.recorder->ResolveDelivery(0, 1, /*online=*/true);
   ASSERT_EQ(h.violations.size(), 1u);
   EXPECT_EQ(h.violations[0].first, InvariantCheck::kDeliveryWhileOffline);
   // After rejoin, deliveries are clean again.
   h.recorder->NoteHostOnline(1, true);
   h.Relay(0, 1, EdgeKind::kAnnouncement, 1, 200, 300);
   EXPECT_EQ(h.violations.size(), 1u);
+}
+
+TEST(ProvenanceInvariants, StrictModeLogsAndAborts) {
+  ProvenanceRecorder recorder{ProvenanceConfig{/*fatal_invariants=*/true}};
+  recorder.RecordOrigin(0, H(1), H(9), 100, 0);
+  EXPECT_DEATH(recorder.RecordOrigin(0, H(1), H(9), 100, 10),
+               "\\[ethsim:provenance\\] error: aborting on invariant "
+               "violation \\(duplicate_first_seen\\)");
 }
 
 TEST(ProvenanceInvariants, CountersFeedMetricsRegistry) {

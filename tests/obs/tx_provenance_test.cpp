@@ -1,8 +1,8 @@
 // Unit tests for the transaction-lifecycle flight recorder: stage record
 // plumbing, pool-outcome mapping, vantage/anchor role filtering, the
 // depth-sweep commit queue (sticky committed mask across reorgs), every
-// invariant check (driven through set_handler so no test aborts the
-// process), and the txprov.bin artifact round-trip.
+// invariant check (driven through set_handler, plus one death test of the
+// strict abort), and the txprov.bin artifact round-trip.
 #include "obs/tx_provenance.hpp"
 
 #include <gtest/gtest.h>
@@ -255,21 +255,27 @@ TEST(TxProvRecorder, InvariantViolationsAreCountedAndLabeled) {
 }
 
 TEST(TxInvariantChecker, DirectFactCallsAndMetrics) {
+  // kCommitBeforeInclude is unreachable through the recorder (AdvanceHead
+  // skips stale entries first), so it is driven here by direct calls.
   MetricsRegistry metrics;
-  TxInvariantChecker checker{/*fatal=*/false};
+  TxProvRecorder::Checker checker{"txprov", TxInvariantName, /*fatal=*/false};
   checker.AttachMetrics(&metrics);
   std::vector<TxInvariant> seen;
-  checker.set_handler(
-      [&seen](TxInvariant check, const std::string&) { seen.push_back(check); });
+  std::vector<std::string> details;
+  checker.set_handler([&](TxInvariant check, const std::string& detail) {
+    seen.push_back(check);
+    details.push_back(detail);
+  });
 
-  checker.OnStage(TxStage::kIncluded, 7, /*t_us=*/50, /*last_t_us=*/100);
-  checker.OnStage(TxStage::kIncluded, 7, /*t_us=*/100, /*last_t_us=*/100);  // ok
-  checker.OnInclude(7, /*ever_admitted=*/false);
-  checker.OnInclude(7, /*ever_admitted=*/true);  // ok
-  checker.OnOrphanReturn(7, /*currently_included=*/false);
-  checker.OnCommit(7, /*currently_included=*/false);
+  checker.Violate(TxInvariant::kNonMonotoneStage, "t=%d", 50);
+  checker.Violate(TxInvariant::kIncludeWithoutAdmit, "tx %d", 7);
+  checker.Violate(TxInvariant::kOrphanReturnWithoutInclude, "tx %d", 7);
+  checker.Violate(TxInvariant::kCommitBeforeInclude,
+                  "tx %016x committed while not included", 7);
 
   ASSERT_EQ(seen.size(), 4u);
+  EXPECT_EQ(details[0], "t=50");
+  EXPECT_EQ(details[3], "tx 0000000000000007 committed while not included");
   EXPECT_EQ(seen[0], TxInvariant::kNonMonotoneStage);
   EXPECT_EQ(seen[1], TxInvariant::kIncludeWithoutAdmit);
   EXPECT_EQ(seen[2], TxInvariant::kOrphanReturnWithoutInclude);
@@ -280,6 +286,16 @@ TEST(TxInvariantChecker, DirectFactCallsAndMetrics) {
                                         {{"check", "commit_before_include"}}))
                 ->value(),
             1);
+}
+
+TEST(TxProvInvariants, StrictModeLogsAndAborts) {
+  TxProvConfig cfg;
+  cfg.fatal_invariants = true;
+  TxProvRecorder recorder{cfg};
+  recorder.MarkAnchor(0);
+  EXPECT_DEATH(recorder.RecordIncluded(0, H(3), 1200, H(9), 1),
+               "\\[ethsim:txprov\\] error: aborting on invariant violation "
+               "\\(include_without_admit\\)");
 }
 
 TEST(TxProvRecorder, StageCountersTrackAppendedRecords) {

@@ -8,6 +8,7 @@
 
 #include "analysis/commit.hpp"
 #include "analysis/demand.hpp"
+#include "check/oracles.hpp"
 #include "core/experiment.hpp"
 
 namespace ethsim {
@@ -22,15 +23,6 @@ core::ExperimentConfig PlanConfig() {
   cfg.workload_plan.ClosedLoop("users", 10, Duration::Seconds(20), 1);
   cfg.workload_plan.last().account_offset = 200;
   return cfg;
-}
-
-analysis::StudyInputs InputsFor(const core::Experiment& exp) {
-  analysis::StudyInputs inputs;
-  for (const auto& obs : exp.observers()) inputs.observers.push_back(obs.get());
-  inputs.minted = &exp.minted();
-  inputs.pools = &exp.config().pools;
-  inputs.reference = &exp.reference_tree();
-  return inputs;
 }
 
 TEST(WorkloadExperiment, ClosedLoopClientsCompleteAndResubmit) {
@@ -59,7 +51,7 @@ TEST(WorkloadExperiment, DemandReconcilesWithCommitAnalysis) {
       Duration::Seconds(90);
   core::Experiment exp{cfg};
   exp.Run();
-  const auto inputs = InputsFor(exp);
+  const auto inputs = check::MakeStudyInputs(exp);
 
   const std::vector<std::uint64_t> depths{0, 3};
   const auto commit = analysis::TransactionCommitTimes(inputs, depths);
@@ -90,7 +82,7 @@ TEST(WorkloadExperiment, LegacyRunGetsOneSyntheticDemandRow) {
   cfg.workload.rate_per_sec = 1.0;
   core::Experiment exp{cfg};
   exp.Run();
-  const auto inputs = InputsFor(exp);
+  const auto inputs = check::MakeStudyInputs(exp);
   const auto demand = analysis::AnalyzeDemand(
       inputs, exp.workload().submitted(), exp.workload().plan(), {0, 3});
   ASSERT_EQ(demand.per_source.size(), 1u);

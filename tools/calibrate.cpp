@@ -18,25 +18,13 @@
 #include "analysis/ordering.hpp"
 #include "analysis/propagation.hpp"
 #include "analysis/redundancy.hpp"
+#include "check/oracles.hpp"
 #include "core/experiment.hpp"
 #include "core/provenance.hpp"
 #include "core/sweep.hpp"
 #include "obs/diag.hpp"
 
 using namespace ethsim;
-
-namespace {
-
-analysis::StudyInputs InputsFor(const core::Experiment& exp) {
-  analysis::StudyInputs inputs;
-  for (const auto& obs : exp.observers()) inputs.observers.push_back(obs.get());
-  inputs.minted = &exp.minted();
-  inputs.pools = &exp.config().pools;
-  inputs.reference = &exp.reference_tree();
-  return inputs;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   core::ExperimentConfig cfg = core::presets::SmallStudy(150);
@@ -101,7 +89,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<analysis::StudyInputs> all_inputs;
-  for (const auto& run : runs) all_inputs.push_back(InputsFor(*run));
+  for (const auto& run : runs) all_inputs.push_back(check::MakeStudyInputs(*run));
 
   std::vector<analysis::PropagationResult> prop_parts, txprop_parts;
   std::vector<analysis::GeoResult> geo_parts;

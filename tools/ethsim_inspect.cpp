@@ -130,10 +130,11 @@ void Usage() {
       "    [--forbid-nonzero <p>]  counters matching p must exist and be 0\n");
 }
 
-// Both binary logs carry a host -> region table (0xff = unknown).
+// Both binary logs carry a host -> region table.
 std::string RegionName(const std::vector<std::uint8_t>& host_region,
                        std::uint32_t host) {
-  if (host < host_region.size() && host_region[host] != 0xff) {
+  if (host < host_region.size() &&
+      host_region[host] != ethsim::obs::kUnknownRegion) {
     return std::string(ethsim::net::RegionShortName(
         static_cast<ethsim::net::Region>(host_region[host])));
   }
