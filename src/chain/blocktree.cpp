@@ -157,42 +157,37 @@ void BlockTree::MaybeReorg(BlockId candidate, AddResult& result) {
   }
 
   // Walk the new head's ancestry down to the first block that is already
-  // canonical; everything above it on the old chain retires.
+  // canonical (genesis always is); everything above it on the old chain
+  // retires.
   auto is_canonical_id = [&](BlockId id) {
     const std::size_t index =
         nodes_[id].block->header.number - genesis_number_;
     return index < canonical_.size() && canonical_[index] == id;
   };
-  std::vector<BlockPtr> adopted;
-  BlockId cursor = candidate;
-  while (!is_canonical_id(cursor)) {
-    adopted.push_back(nodes_[cursor].block);
-    if (cursor == genesis_id_) break;
-    cursor = nodes_[cursor].parent;
-  }
-  const std::uint64_t fork_point = nodes_[cursor].block->header.number;
+  BlockId fork = candidate;
+  while (!is_canonical_id(fork)) fork = nodes_[fork].parent;
+  const std::uint64_t fork_point = nodes_[fork].block->header.number;
 
   const std::uint64_t old_head_number =
       nodes_[head_id_].block->header.number;
   for (std::uint64_t h = fork_point + 1; h <= old_head_number; ++h) {
     BlockId& slot = canonical_[h - genesis_number_];
     if (slot == kNoId) break;
-    result.retired.push_back(nodes_[slot].block);
+    result.edits.push_back({nodes_[slot].block, false});
     slot = kNoId;
   }
 
-  std::reverse(adopted.begin(), adopted.end());
-  for (const BlockPtr& b : adopted)
-    CanonicalSlot(b->header.number) = FindAttached(b->hash);
-  result.adopted.insert(result.adopted.end(), adopted.begin(), adopted.end());
+  // The adoptions follow this switch's retirements, oldest first.
+  const std::size_t first_adopted = result.edits.size();
+  for (BlockId id = candidate; id != fork; id = nodes_[id].parent) {
+    result.edits.push_back({nodes_[id].block, true});
+    CanonicalSlot(nodes_[id].block->header.number) = id;
+  }
+  std::reverse(result.edits.begin() + first_adopted, result.edits.end());
 
   head_id_ = candidate;
   head_ = nodes_[candidate].block->hash;
   result.outcome = AddOutcome::kAddedNewHead;
-  if (record_reorg_steps_) [[unlikely]]
-    result.steps.push_back(
-        {static_cast<std::uint32_t>(result.retired.size()),
-         static_cast<std::uint32_t>(result.adopted.size())});
 }
 
 std::vector<BlockHeader> BlockTree::UncleCandidates(

@@ -39,34 +39,25 @@ class BlockTree {
     kOrphaned,       // parent unknown; buffered until the parent arrives
   };
 
+  // One canonical-chain change: `block` joined the chain (adopted) or left
+  // it (retired).
+  struct ChainEdit {
+    BlockPtr block = nullptr;
+    bool adopted = false;
+  };
+
   struct AddResult {
     AddOutcome outcome = AddOutcome::kAdded;
-    // Canonical-chain delta when a reorg happened (oldest first). Retired
-    // blocks left the canonical chain; adopted blocks joined it.
-    std::vector<BlockPtr> retired;
-    std::vector<BlockPtr> adopted;
-    // One entry per head switch inside this Add. A single Add can cascade
-    // through several reorgs (attaching a block also attaches any orphans
-    // that were waiting on it, each of which may move the head again), and a
-    // block adopted by one switch can be retired by the next — so the flat
-    // retired/adopted lists lose the true ordering. Each step holds the
-    // exclusive end indexes into those lists after its switch; consumers
-    // that need the real retire/adopt interleaving (the tx-lifecycle
-    // provenance recorder) replay the slices step by step. Only filled
-    // after set_record_reorg_steps(true) — the vector costs an allocation
-    // per Add, which the recorder-off hot path must not pay.
-    struct ReorgStep {
-      std::uint32_t retired_end = 0;
-      std::uint32_t adopted_end = 0;
-    };
-    std::vector<ReorgStep> steps;
+    // Every canonical-chain change of this Add, in the order the tree made
+    // them: per head switch, its retirements oldest first, then its
+    // adoptions oldest first. One Add can switch the head several times
+    // (attaching a block also attaches the orphans waiting on it), and a
+    // block adopted by one switch can be retired by the next, so consumers
+    // replay the list in order.
+    std::vector<ChainEdit> edits;
   };
 
   AddResult Add(BlockPtr block, TimePoint received);
-
-  // Opt into AddResult::steps (the tx-lifecycle recorder needs the per-switch
-  // interleaving; nothing else pays for it).
-  void set_record_reorg_steps(bool on) { record_reorg_steps_ = on; }
 
   bool Contains(const Hash32& hash) const;
   BlockPtr Get(const Hash32& hash) const;  // nullptr if unknown
@@ -156,7 +147,6 @@ class BlockTree {
   Hash32 head_;
   BlockId genesis_id_ = kNoId;
   BlockId head_id_ = kNoId;
-  bool record_reorg_steps_ = false;
 };
 
 }  // namespace ethsim::chain

@@ -67,7 +67,6 @@ void EthNode::AttachTelemetry(obs::Telemetry* telemetry,
                               std::uint32_t trace_lane) {
   prov_ = nullptr;
   txprov_ = nullptr;
-  tree_.set_record_reorg_steps(false);
   block_tracer_ = nullptr;
   tx_tracer_ = nullptr;
   imported_count_ = nullptr;
@@ -81,12 +80,8 @@ void EthNode::AttachTelemetry(obs::Telemetry* telemetry,
   if ((prov_ = telemetry->provenance()) != nullptr)
     prov_->RegisterHost(host_, static_cast<std::uint8_t>(region()));
 
-  if ((txprov_ = telemetry->txprov()) != nullptr) {
+  if ((txprov_ = telemetry->txprov()) != nullptr)
     txprov_->RegisterHost(host_, static_cast<std::uint8_t>(region()));
-    // RecordChainEdit replays the per-switch reorg slices; only recorder-on
-    // trees pay for collecting them.
-    tree_.set_record_reorg_steps(true);
-  }
 
   if (obs::Tracer* tracer = telemetry->tracer()) {
     if (tracer->enabled(obs::TraceCategory::kBlock)) block_tracer_ = tracer;
@@ -218,31 +213,6 @@ EthNode::Peer* EthNode::FindPeer(const EthNode* node) {
 
 void EthNode::MarkKnowsBlock(EthNode* from, const Hash32& hash) {
   if (Peer* p = FindPeer(from)) p->known_blocks.Insert(hash_ids_.Intern(hash));
-}
-
-void EthNode::RecordChainEdit(const chain::BlockTree::AddResult& result,
-                              bool new_head) {
-  // Replay each head switch in order, retirements before adoptions within a
-  // switch: one Add can cascade through several reorgs (orphan attach), and
-  // a block adopted by one switch may be retired by the next — processing
-  // the flat lists wholesale would record that block's orphan-return before
-  // its inclusion and leave the recorder's live-inclusion state wrong.
-  const std::int64_t now_us = sim_.Now().micros();
-  std::size_t r = 0;
-  std::size_t a = 0;
-  for (const auto& step : result.steps) {
-    for (; r < step.retired_end; ++r)
-      for (const auto& tx : result.retired[r]->transactions)
-        txprov_->RecordOrphanReturned(host_, tx.hash, now_us,
-                                      result.retired[r]->hash,
-                                      result.retired[r]->header.number);
-    for (; a < step.adopted_end; ++a)
-      for (const auto& tx : result.adopted[a]->transactions)
-        txprov_->RecordIncluded(host_, tx.hash, now_us,
-                                result.adopted[a]->hash,
-                                result.adopted[a]->header.number);
-  }
-  if (new_head) txprov_->AdvanceHead(host_, tree_.head_number(), now_us);
 }
 
 // --- local actions ---------------------------------------------------------
@@ -445,20 +415,32 @@ void EthNode::ImportBlock(chain::BlockPtr block) {
 
 void EthNode::AfterAdd(const chain::BlockPtr& block,
                        const chain::BlockTree::AddResult& result, bool mined) {
-  // Reorg bookkeeping mirrors Geth: retired transactions return to the pool,
-  // adopted ones leave it.
-  for (const auto& retired : result.retired)
-    for (const auto& tx : retired->transactions) {
+  // Reorg bookkeeping mirrors Geth: a retired block's transactions return to
+  // the pool, an adopted block's leave it. The edits replay in the order the
+  // tree made them, because one Add can adopt a block and retire it again.
+  const std::int64_t now_us = sim_.Now().micros();
+  for (const auto& [edited, adopted] : result.edits) {
+    if (adopted) {
+      pool_.RemoveIncluded(edited->transactions);
+      if (txprov_ != nullptr) [[unlikely]]
+        for (const auto& tx : edited->transactions)
+          txprov_->RecordIncluded(host_, tx.hash, now_us, edited->hash,
+                                  edited->header.number);
+      continue;
+    }
+    for (const auto& tx : edited->transactions) {
       pool_.RollbackAccountNonce(tx.sender, tx.nonce);
       pool_.Add(tx);
+      if (txprov_ != nullptr) [[unlikely]]
+        txprov_->RecordOrphanReturned(host_, tx.hash, now_us, edited->hash,
+                                      edited->header.number);
     }
-  for (const auto& adopted : result.adopted)
-    pool_.RemoveIncluded(adopted->transactions);
+  }
 
   const bool new_head =
       result.outcome == chain::BlockTree::AddOutcome::kAddedNewHead;
-  if (txprov_ != nullptr) [[unlikely]]
-    RecordChainEdit(result, new_head);
+  if (txprov_ != nullptr && new_head) [[unlikely]]
+    txprov_->AdvanceHead(host_, tree_.head_number(), now_us);
   if (sink_ != nullptr) sink_->OnBlockImported(block, new_head);
   if (imported_count_ != nullptr) [[unlikely]] {
     imported_count_->Add();

@@ -210,21 +210,16 @@ class EthNode {
   void PushToSqrtPeers(const chain::BlockPtr& block);
   void AnnounceToOtherPeers(const chain::BlockPtr& block);
   void ImportBlock(chain::BlockPtr block);
-  // Everything a non-duplicate BlockTree::Add triggers, in order: pool reorg
-  // bookkeeping, the tx recorder's chain edit, the sink, the import/head
-  // counters and trace, the relay, and the head callback. A `mined` block is
-  // pushed to sqrt(peers) before the announce.
+  // Everything a non-duplicate BlockTree::Add triggers, in order: one replay
+  // of the chain edits (pool reorg bookkeeping and the tx recorder's
+  // orphan-returned/included records), the recorder's head advance, the
+  // sink, the import/head counters and trace, the relay, and the head
+  // callback. A `mined` block is pushed to sqrt(peers) before the announce.
   void AfterAdd(const chain::BlockPtr& block,
                 const chain::BlockTree::AddResult& result, bool mined);
   // Fetches `hash` (block `number`) from `peer` and arms the retry timer.
   void RequestBlock(EthNode* peer, const Hash32& hash, std::uint64_t number);
   Duration ValidationDelay(const chain::Block& block) const;
-
-  // Feeds a BlockTree edit (retired blocks' orphan-returned txs, adopted
-  // blocks' included txs, head advance) to the tx-lifecycle recorder.
-  // Callers check txprov_ != nullptr first (hot-path single-branch contract).
-  void RecordChainEdit(const chain::BlockTree::AddResult& result,
-                       bool new_head);
 
   void QueueTxForBroadcast(const chain::Transaction& tx);
   void FlushTxBroadcast();

@@ -72,7 +72,7 @@ std::string_view DropReasonName(DropReason reason);
 // One row of the drop census: who lost how many messages of which kind, and
 // why (the `faulted` dimension of the always-on census).
 struct DropRecord {
-  obs::MsgKind kind = obs::MsgKind::kOther;
+  obs::MsgKind kind = obs::MsgKind::kNewBlock;
   Region source_region = Region::WesternEurope;
   DropReason reason = DropReason::kRandomLoss;
   std::uint64_t count = 0;
@@ -108,13 +108,9 @@ class Network {
   // Schedules `deliver` to run at the receiver after the sampled delay,
   // enforcing per-(from,to) FIFO ordering, unless a drop gate fires. Returns
   // which of the two happened. `kind` labels the message for the
-  // telemetry/drop census; the kind-less overload tags kOther.
+  // telemetry/drop census.
   SendOutcome Send(HostId from, HostId to, std::size_t bytes,
                    obs::MsgKind kind, sim::EventFn deliver);
-  SendOutcome Send(HostId from, HostId to, std::size_t bytes,
-                   sim::EventFn deliver) {
-    return Send(from, to, bytes, obs::MsgKind::kOther, std::move(deliver));
-  }
 
   // Wires metrics counters and the in-flight tracer. Must be called before
   // traffic flows (counter registration touches the registry). Telemetry

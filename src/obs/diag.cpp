@@ -15,7 +15,6 @@ const char* LevelTag(LogLevel level) {
   switch (level) {
     case LogLevel::kError: return "error";
     case LogLevel::kWarn: return "warn";
-    case LogLevel::kInfo: return "info";
   }
   return "?";
 }
@@ -34,8 +33,6 @@ LogLevel ParseLogLevel(const char* value) {
   if (value == nullptr || value[0] == '\0') return LogLevel::kWarn;
   if (std::strcmp(value, "error") == 0 || std::strcmp(value, "0") == 0)
     return LogLevel::kError;
-  if (std::strcmp(value, "info") == 0 || std::strcmp(value, "2") == 0)
-    return LogLevel::kInfo;
   return LogLevel::kWarn;
 }
 
@@ -91,13 +88,6 @@ void LogWarn(const char* component, const char* fmt, ...) {
   std::va_list args;
   va_start(args, fmt);
   LogV(LogLevel::kWarn, component, fmt, args);
-  va_end(args);
-}
-
-void LogInfo(const char* component, const char* fmt, ...) {
-  std::va_list args;
-  va_start(args, fmt);
-  LogV(LogLevel::kInfo, component, fmt, args);
   va_end(args);
 }
 

@@ -5,7 +5,7 @@
 //   obs::LogError("dataset", "cannot open %s: %s", path, reason);
 //     -> "[ethsim:dataset] error: cannot open ...": stderr
 //
-// Verbosity is gated by ETHSIM_LOG (error < warn < info; default warn).
+// Verbosity is gated by ETHSIM_LOG (default warn; "error" silences warnings).
 // This is operator-facing plumbing, not part of the deterministic telemetry
 // streams: never log from simulation hot paths.
 #pragma once
@@ -15,17 +15,17 @@
 
 namespace ethsim::obs {
 
-enum class LogLevel : int { kError = 0, kWarn = 1, kInfo = 2 };
+enum class LogLevel : int { kError = 0, kWarn = 1 };
 
-// Maps an ETHSIM_LOG value to a threshold: "error"/"0" -> kError,
-// "info"/"2" -> kInfo, anything else (including unset/empty/malformed)
-// -> kWarn. Pure — unit-testable without touching the environment.
+// Maps an ETHSIM_LOG value to a threshold: "error"/"0" -> kError, anything
+// else (including unset/empty/malformed) -> kWarn. Pure — unit-testable
+// without touching the environment.
 LogLevel ParseLogLevel(const char* value);
 
 // Current threshold (ParseLogLevel of ETHSIM_LOG, cached on first use).
 LogLevel DiagLevel();
 
-// The exact line LogError/LogWarn/LogInfo print (sans trailing newline):
+// The exact line LogError/LogWarn print (sans trailing newline):
 // "[ethsim:<component>] <tag>: <formatted message>". Exposed for tests.
 std::string FormatDiagMessage(LogLevel level, const char* component,
                               const char* fmt, ...);
@@ -40,7 +40,6 @@ std::string FormatDiagMessageV(LogLevel level, const char* component,
 #endif
 void LogError(const char* component, const char* fmt, ...) ETHSIM_PRINTF_ATTR;
 void LogWarn(const char* component, const char* fmt, ...) ETHSIM_PRINTF_ATTR;
-void LogInfo(const char* component, const char* fmt, ...) ETHSIM_PRINTF_ATTR;
 
 // Operator-facing run-health reporting, gated by ETHSIM_PROGRESS instead of
 // the diagnostics threshold (progress is opt-in status output, not a

@@ -17,7 +17,6 @@ std::string_view MsgKindName(MsgKind kind) {
     case MsgKind::kGetBlock: return "get_block";
     case MsgKind::kBlockResponse: return "block_response";
     case MsgKind::kTransactions: return "transactions";
-    case MsgKind::kOther: return "other";
   }
   return "?";
 }
@@ -99,10 +98,6 @@ Counter* MetricsRegistry::GetCounter(const std::string& name) {
   return &counters_[name];
 }
 
-Gauge* MetricsRegistry::GetGauge(const std::string& name) {
-  return &gauges_[name];
-}
-
 Histogram* MetricsRegistry::GetHistogram(
     const std::string& name, const std::vector<std::int64_t>& bounds) {
   const auto it = histograms_.find(name);
@@ -119,11 +114,6 @@ const Counter* MetricsRegistry::FindCounter(const std::string& name) const {
   return it == counters_.end() ? nullptr : &it->second;
 }
 
-const Gauge* MetricsRegistry::FindGauge(const std::string& name) const {
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : &it->second;
-}
-
 const Histogram* MetricsRegistry::FindHistogram(const std::string& name) const {
   const auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;
@@ -132,11 +122,6 @@ const Histogram* MetricsRegistry::FindHistogram(const std::string& name) const {
 void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
   for (const auto& [name, counter] : other.counters_)
     counters_[name].value_ += counter.value_;
-  for (const auto& [name, gauge] : other.gauges_) {
-    Gauge& mine = gauges_[name];
-    mine.value_ = std::max(mine.value_, gauge.value_);
-    mine.high_water_ = std::max(mine.high_water_, gauge.high_water_);
-  }
   for (const auto& [name, histogram] : other.histograms_) {
     const auto it = histograms_.find(name);
     if (it == histograms_.end()) {
@@ -158,12 +143,6 @@ void MetricsRegistry::WriteJsonl(std::ostream& out) const {
     out << "{\"type\":\"counter\",\"name\":";
     out << JsonString(name);
     out << ",\"value\":" << counter.value() << "}\n";
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    out << "{\"type\":\"gauge\",\"name\":";
-    out << JsonString(name);
-    out << ",\"value\":" << gauge.value()
-        << ",\"high_water\":" << gauge.high_water() << "}\n";
   }
   for (const auto& [name, histogram] : histograms_) {
     out << "{\"type\":\"histogram\",\"name\":";

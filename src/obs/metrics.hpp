@@ -1,5 +1,5 @@
 // Deterministic metrics registry — the sim-clock half of the telemetry
-// subsystem (see DESIGN.md "Telemetry"). Counters, gauges and fixed-bucket
+// subsystem (see DESIGN.md "Telemetry"). Counters and fixed-bucket
 // histograms are registered by name (labels rendered into the name with a
 // fixed key order, e.g. "net.msg.sent{kind=new_block}") and updated only from
 // simulation events, so for a given (config, seed) the registry contents are
@@ -29,9 +29,8 @@ enum class MsgKind : std::uint8_t {
   kGetBlock,       // block body request
   kBlockResponse,  // block body response
   kTransactions,   // batched tx relay
-  kOther,          // untagged traffic (legacy Send overload)
 };
-inline constexpr std::size_t kMsgKindCount = 6;
+inline constexpr std::size_t kMsgKindCount = 5;
 std::string_view MsgKindName(MsgKind kind);
 
 // Monotonic event counter.
@@ -43,23 +42,6 @@ class Counter {
  private:
   friend class MetricsRegistry;
   std::uint64_t value_ = 0;
-};
-
-// Point-in-time level with a high-water mark (e.g. queue occupancy).
-class Gauge {
- public:
-  void Set(std::int64_t v) {
-    value_ = v;
-    if (v > high_water_) high_water_ = v;
-  }
-  void Add(std::int64_t delta) { Set(value_ + delta); }
-  std::int64_t value() const { return value_; }
-  std::int64_t high_water() const { return high_water_; }
-
- private:
-  friend class MetricsRegistry;
-  std::int64_t value_ = 0;
-  std::int64_t high_water_ = 0;
 };
 
 // Fixed-bucket histogram: `bounds` are inclusive upper bounds per bucket plus
@@ -114,19 +96,16 @@ class MetricsRegistry {
 
   // Idempotent: the same name always returns the same instrument.
   Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
   // `bounds` must match any previous registration of `name`.
   Histogram* GetHistogram(const std::string& name,
                           const std::vector<std::int64_t>& bounds);
 
   // Lookup without creating; null when absent.
   const Counter* FindCounter(const std::string& name) const;
-  const Gauge* FindGauge(const std::string& name) const;
   const Histogram* FindHistogram(const std::string& name) const;
 
-  // Element-wise accumulate: counters/histograms add, gauges keep the max of
-  // value and high-water (cross-seed merge semantics). Instruments missing
-  // locally are created. Callers merge in seed order so the result is
+  // Element-wise accumulate: counters and histograms add (cross-seed merge
+  // semantics). Instruments missing locally are created. Callers merge in seed order so the result is
   // invariant under sweep thread count.
   void MergeFrom(const MetricsRegistry& other);
 
@@ -136,17 +115,14 @@ class MetricsRegistry {
   std::string ToJsonl() const;
 
   bool empty() const {
-    return counters_.empty() && gauges_.empty() && histograms_.empty();
+    return counters_.empty() && histograms_.empty();
   }
-  std::size_t size() const {
-    return counters_.size() + gauges_.size() + histograms_.size();
-  }
+  std::size_t size() const { return counters_.size() + histograms_.size(); }
 
  private:
   // std::map: sorted deterministic iteration + stable node addresses, so the
   // pointers handed to hot paths survive later registrations.
   std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
 };
 

@@ -143,8 +143,6 @@ void Validator::CheckMetrics(const char* file) {
     if (type == "counter") {
       ok = At(record, "value").is_int();
       if (ok) counters_[name.string] = At(record, "value").integer;
-    } else if (type == "gauge") {
-      ok = At(record, "value").is_int() && At(record, "high_water").is_int();
     } else if (type == "histogram") {
       // [bound, count] pairs; the last is the +inf bucket with a null bound.
       const std::vector<JsonValue>& buckets = At(record, "buckets").items;

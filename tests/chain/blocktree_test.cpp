@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "chain/block_arena.hpp"
 
@@ -46,6 +48,16 @@ BlockPtr Child(const BlockPtr& parent, std::uint64_t difficulty,
 
 TimePoint At(std::int64_t ms) { return TimePoint::FromMicros(ms * 1000); }
 
+// An Add's chain edits as (block, adopted?) pairs, so a whole sequence
+// compares in one assertion.
+using Edit = std::pair<BlockPtr, bool>;
+std::vector<Edit> EditsOf(const BlockTree::AddResult& result) {
+  std::vector<Edit> out;
+  for (const auto& [block, adopted] : result.edits)
+    out.emplace_back(block, adopted);
+  return out;
+}
+
 struct BlockTreeFixture : ::testing::Test {
   BlockPtr genesis = MakeGenesis();
   BlockTree tree{genesis};
@@ -64,9 +76,7 @@ TEST_F(BlockTreeFixture, LinearExtension) {
   const BlockPtr b2 = Child(b1, 1000);
   auto r1 = tree.Add(b1, At(1));
   EXPECT_EQ(r1.outcome, BlockTree::AddOutcome::kAddedNewHead);
-  ASSERT_EQ(r1.adopted.size(), 1u);
-  EXPECT_EQ(r1.adopted[0]->hash, b1->hash);
-  EXPECT_TRUE(r1.retired.empty());
+  EXPECT_EQ(EditsOf(r1), (std::vector<Edit>{{b1, true}}));
 
   tree.Add(b2, At(2));
   EXPECT_EQ(tree.head_hash(), b2->hash);
@@ -111,12 +121,9 @@ TEST_F(BlockTreeFixture, HeavierForkTriggersReorg) {
   const auto r = tree.Add(b2, At(4));  // td 4000 > 3000: reorg
   EXPECT_EQ(r.outcome, BlockTree::AddOutcome::kAddedNewHead);
   EXPECT_EQ(tree.head_hash(), b2->hash);
-  ASSERT_EQ(r.retired.size(), 2u);
-  EXPECT_EQ(r.retired[0]->hash, a1->hash);
-  EXPECT_EQ(r.retired[1]->hash, a2->hash);
-  ASSERT_EQ(r.adopted.size(), 2u);
-  EXPECT_EQ(r.adopted[0]->hash, b1->hash);
-  EXPECT_EQ(r.adopted[1]->hash, b2->hash);
+  // Retirements oldest first, then adoptions oldest first.
+  EXPECT_EQ(EditsOf(r), (std::vector<Edit>{
+                            {a1, false}, {a2, false}, {b1, true}, {b2, true}}));
   EXPECT_TRUE(tree.IsCanonical(b1->hash));
   EXPECT_FALSE(tree.IsCanonical(a1->hash));
 }
@@ -135,8 +142,26 @@ TEST_F(BlockTreeFixture, OrphanBufferedUntilParentArrives) {
   EXPECT_TRUE(tree.Contains(b2->hash));
   EXPECT_EQ(tree.head_hash(), b2->hash);
   // Both adopted in one go, parent first.
-  ASSERT_EQ(r.adopted.size(), 2u);
-  EXPECT_EQ(r.adopted[0]->hash, b1->hash);
+  EXPECT_EQ(EditsOf(r), (std::vector<Edit>{{b1, true}, {b2, true}}));
+}
+
+TEST_F(BlockTreeFixture, OrphanSiblingCascadeAdoptsThenRetires) {
+  // C1 and C2 wait on their unknown parent B; C2 is one unit heavier. B's
+  // arrival attaches B, then C1 (a new head), then C2 (a heavier sibling
+  // head), so C1 joins and leaves the chain inside one Add.
+  const BlockPtr b = Child(genesis, 1000);
+  const BlockPtr c1 = Child(b, 1000, 1);
+  const BlockPtr c2 = Child(b, 1001, 2);
+  EXPECT_EQ(tree.Add(c1, At(1)).outcome, BlockTree::AddOutcome::kOrphaned);
+  EXPECT_EQ(tree.Add(c2, At(2)).outcome, BlockTree::AddOutcome::kOrphaned);
+
+  const auto r = tree.Add(b, At(3));
+  EXPECT_EQ(r.outcome, BlockTree::AddOutcome::kAddedNewHead);
+  EXPECT_EQ(EditsOf(r), (std::vector<Edit>{
+                            {b, true}, {c1, true}, {c1, false}, {c2, true}}));
+  EXPECT_EQ(tree.head_hash(), c2->hash);
+  EXPECT_FALSE(tree.IsCanonical(c1->hash));
+  EXPECT_TRUE(tree.CheckInvariants());
 }
 
 TEST_F(BlockTreeFixture, OrphanChainsResolveRecursively) {

@@ -37,12 +37,13 @@ Address Addr(std::uint8_t tag) {
 }
 
 chain::BlockPtr Child(const chain::BlockPtr& parent, std::uint64_t mix = 0,
-                      std::vector<chain::Transaction> txs = {}) {
+                      std::vector<chain::Transaction> txs = {},
+                      std::uint64_t difficulty = 1000) {
   chain::Block b;
   b.header.parent_hash = parent->hash;
   b.header.number = parent->header.number + 1;
   b.header.timestamp = parent->header.timestamp + 13;
-  b.header.difficulty = 1000;
+  b.header.difficulty = difficulty;
   b.header.miner = Addr(1);
   b.header.mix_seed = mix;
   b.transactions = std::move(txs);
@@ -251,6 +252,39 @@ TEST(EthNodeTxs, ReorgReturnsRetiredTransactionsToPool) {
     EXPECT_EQ(node->tree().head_hash(), b2->hash);
     EXPECT_TRUE(node->pool().Contains(tx.hash)) << "tx lost in reorg";
   }
+}
+
+TEST(EthNodeTxs, OrphanCascadeReturnsTxOfAnAdoptedThenRetiredBlock) {
+  // C1 and then C2 arrive while their parent B is unknown, so neither is
+  // validated. C1 carries the pooled tx; C2 is empty and one unit heavier.
+  // B's import attaches the waiting orphans in arrival order: it adopts B
+  // and C1, then switches to C2. C1 joins and leaves the chain inside one
+  // Add, so its tx must end up back in the pool with the sender's nonce
+  // rolled back.
+  Cluster c{2};
+  EthNode& node = *c.nodes[1];
+  EthNode* from = c.nodes[0].get();
+  const chain::Transaction tx = chain::MakeTransaction(Addr(5), 0, Addr(6), 10, 1);
+  node.SubmitTransaction(tx);
+  ASSERT_TRUE(node.pool().Contains(tx.hash));
+
+  const chain::BlockPtr b = Child(c.genesis, 1);
+  const chain::BlockPtr c1 = Child(b, 1, {tx});
+  const chain::BlockPtr c2 = Child(b, 2, {}, 1001);
+  // One at a time, so C1 is buffered first: its validation (one tx) takes
+  // longer than C2's.
+  node.DeliverNewBlock(from, c1);
+  c.simulator.RunUntil(TimePoint::FromMicros(Duration::Seconds(5).micros()));
+  node.DeliverNewBlock(from, c2);
+  c.simulator.RunUntil(TimePoint::FromMicros(Duration::Seconds(10).micros()));
+  ASSERT_EQ(node.tree().orphan_count(), 1u);  // both wait on B
+  ASSERT_FALSE(node.tree().Contains(c1->hash));
+
+  node.DeliverNewBlock(from, b);
+  c.simulator.RunUntil(TimePoint::FromMicros(Duration::Seconds(15).micros()));
+  EXPECT_EQ(node.tree().head_hash(), c2->hash);
+  EXPECT_TRUE(node.pool().Contains(tx.hash));
+  EXPECT_EQ(node.pool().AccountNonce(Addr(5)), 0u);
 }
 
 // Counting sink used to verify relay economics.

@@ -74,7 +74,7 @@ TEST_F(NetworkFixture, SendDeliversAfterDelay) {
   const HostId b = net.AddHost({Region::EasternAsia, 1e9});
   bool delivered = false;
   TimePoint at;
-  net.Send(a, b, 1000, [&] {
+  net.Send(a, b, 1000, obs::MsgKind::kNewBlock, [&] {
     delivered = true;
     at = simulator.Now();
   });
@@ -88,7 +88,9 @@ TEST_F(NetworkFixture, FifoOrderPerDirectedPair) {
   const HostId b = net.AddHost({Region::EasternAsia, 1e9});
   std::vector<int> order;
   // Even if jitter would reorder, the TCP model must deliver in send order.
-  for (int i = 0; i < 50; ++i) net.Send(a, b, 100, [&, i] { order.push_back(i); });
+  for (int i = 0; i < 50; ++i)
+    net.Send(a, b, 100, obs::MsgKind::kTransactions,
+             [&, i] { order.push_back(i); });
   simulator.RunAll();
   ASSERT_EQ(order.size(), 50u);
   for (int i = 0; i < 50; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
@@ -107,7 +109,7 @@ TEST_F(NetworkFixture, FifoClampSurvivesPairTableGrowth) {
     for (HostId from = 0; from < kHosts; ++from)
       for (HostId to = 0; to < kHosts; ++to) {
         if (from == to) continue;
-        net.Send(from, to, k == 0 ? 100'000 : 100,
+        net.Send(from, to, k == 0 ? 100'000 : 100, obs::MsgKind::kNewBlock,
                  [&, pair = from * kHosts + to, k] {
                    if (delivered[pair] != k) ++out_of_order;
                    delivered[pair] = k + 1;
@@ -127,8 +129,10 @@ TEST_F(NetworkFixture, IndependentPairsMayInterleave) {
   const HostId we2 = net.AddHost({Region::WesternEurope, 1e9});
   const HostId oc = net.AddHost({Region::Oceania, 1e9});
   std::vector<char> order;
-  net.Send(we1, oc, 100, [&] { order.push_back('s'); });   // slow pair first
-  net.Send(we1, we2, 100, [&] { order.push_back('f'); });  // fast pair second
+  net.Send(we1, oc, 100, obs::MsgKind::kAnnouncement,
+           [&] { order.push_back('s'); });  // slow pair first
+  net.Send(we1, we2, 100, obs::MsgKind::kAnnouncement,
+           [&] { order.push_back('f'); });  // fast pair second
   simulator.RunAll();
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 'f');
@@ -184,7 +188,8 @@ TEST(NetworkDrops, DropProbabilityLosesMessages) {
   const HostId b = net.AddHost({Region::WesternEurope, 1e9});
   int delivered = 0;
   const int n = 10'000;
-  for (int i = 0; i < n; ++i) net.Send(a, b, 100, [&] { ++delivered; });
+  for (int i = 0; i < n; ++i)
+    net.Send(a, b, 100, obs::MsgKind::kTransactions, [&] { ++delivered; });
   simulator.RunAll();
   EXPECT_NEAR(static_cast<double>(delivered) / n, 0.5, 0.02);
   EXPECT_EQ(net.messages_dropped() + static_cast<std::uint64_t>(delivered),
@@ -197,7 +202,8 @@ TEST(NetworkDrops, ZeroDropDeliversEverything) {
   const HostId a = net.AddHost({Region::WesternEurope, 1e9});
   const HostId b = net.AddHost({Region::WesternEurope, 1e9});
   int delivered = 0;
-  for (int i = 0; i < 1000; ++i) net.Send(a, b, 100, [&] { ++delivered; });
+  for (int i = 0; i < 1000; ++i)
+    net.Send(a, b, 100, obs::MsgKind::kTransactions, [&] { ++delivered; });
   simulator.RunAll();
   EXPECT_EQ(delivered, 1000);
   EXPECT_EQ(net.messages_dropped(), 0u);

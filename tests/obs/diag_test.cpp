@@ -20,8 +20,6 @@ TEST(ParseLogLevel, RecognizedNames) {
   EXPECT_EQ(ParseLogLevel("error"), LogLevel::kError);
   EXPECT_EQ(ParseLogLevel("0"), LogLevel::kError);
   EXPECT_EQ(ParseLogLevel("warn"), LogLevel::kWarn);
-  EXPECT_EQ(ParseLogLevel("info"), LogLevel::kInfo);
-  EXPECT_EQ(ParseLogLevel("2"), LogLevel::kInfo);
 }
 
 TEST(ParseLogLevel, UnsetDefaultsToWarn) {
@@ -35,7 +33,9 @@ TEST(ParseLogLevel, MalformedDefaultsToWarn) {
   EXPECT_EQ(ParseLogLevel("3"), LogLevel::kWarn);
   EXPECT_EQ(ParseLogLevel("-1"), LogLevel::kWarn);
   EXPECT_EQ(ParseLogLevel("1"), LogLevel::kWarn);  // "1" == default tier
-  EXPECT_EQ(ParseLogLevel(" info"), LogLevel::kWarn);
+  EXPECT_EQ(ParseLogLevel("info"), LogLevel::kWarn);  // no tier above warn
+  EXPECT_EQ(ParseLogLevel("2"), LogLevel::kWarn);
+  EXPECT_EQ(ParseLogLevel(" error"), LogLevel::kWarn);  // no trimming
 }
 
 TEST(FormatDiagMessage, TagAndComponentShape) {
@@ -44,8 +44,6 @@ TEST(FormatDiagMessage, TagAndComponentShape) {
             "[ethsim:dataset] error: cannot open logs.bin");
   EXPECT_EQ(FormatDiagMessage(LogLevel::kWarn, "sweep", "seed %d skipped", 7),
             "[ethsim:sweep] warn: seed 7 skipped");
-  EXPECT_EQ(FormatDiagMessage(LogLevel::kInfo, "telemetry", "flushed"),
-            "[ethsim:telemetry] info: flushed");
 }
 
 TEST(FormatDiagMessage, FormatsNumericArguments) {

@@ -22,18 +22,6 @@ TEST(Counter, AddsAndDefaultsToOne) {
   EXPECT_EQ(c.value(), 42u);
 }
 
-TEST(Gauge, TracksHighWater) {
-  Gauge g;
-  g.Set(5);
-  g.Set(12);
-  g.Set(3);
-  EXPECT_EQ(g.value(), 3);
-  EXPECT_EQ(g.high_water(), 12);
-  g.Add(-10);
-  EXPECT_EQ(g.value(), -7);
-  EXPECT_EQ(g.high_water(), 12);
-}
-
 TEST(Histogram, BucketsObservationsByInclusiveUpperBound) {
   Histogram h{{10, 100, 1000}};
   ASSERT_EQ(h.bucket_count(), 4u);  // 3 bounds + overflow
@@ -100,13 +88,10 @@ TEST(MetricsRegistry, RegistrationIsIdempotent) {
   Counter* a = registry.GetCounter("x");
   Counter* b = registry.GetCounter("x");
   EXPECT_EQ(a, b);
-  Gauge* g1 = registry.GetGauge("y");
-  Gauge* g2 = registry.GetGauge("y");
-  EXPECT_EQ(g1, g2);
   Histogram* h1 = registry.GetHistogram("z", {1, 2, 3});
   Histogram* h2 = registry.GetHistogram("z", {1, 2, 3});
   EXPECT_EQ(h1, h2);
-  EXPECT_EQ(registry.size(), 3u);
+  EXPECT_EQ(registry.size(), 2u);
 }
 
 TEST(MetricsRegistry, PointersSurviveLaterRegistrations) {
@@ -123,7 +108,6 @@ TEST(MetricsRegistry, PointersSurviveLaterRegistrations) {
 TEST(MetricsRegistry, FindDoesNotCreate) {
   MetricsRegistry registry;
   EXPECT_EQ(registry.FindCounter("absent"), nullptr);
-  EXPECT_EQ(registry.FindGauge("absent"), nullptr);
   EXPECT_EQ(registry.FindHistogram("absent"), nullptr);
   EXPECT_TRUE(registry.empty());
 }
@@ -133,16 +117,12 @@ TEST(MetricsRegistry, MergeFromAccumulates) {
   a.GetCounter("c")->Add(2);
   b.GetCounter("c")->Add(3);
   b.GetCounter("only_b")->Add(1);
-  a.GetGauge("g")->Set(5);
-  b.GetGauge("g")->Set(9);
-  b.GetGauge("g")->Set(1);  // b: value 1, high-water 9
   a.GetHistogram("h", {10, 100})->Observe(7);
   b.GetHistogram("h", {10, 100})->Observe(70);
 
   a.MergeFrom(b);
   EXPECT_EQ(a.FindCounter("c")->value(), 5u);
   EXPECT_EQ(a.FindCounter("only_b")->value(), 1u);
-  EXPECT_EQ(a.FindGauge("g")->high_water(), 9);
   const Histogram* h = a.FindHistogram("h");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count(), 2u);
@@ -155,7 +135,6 @@ TEST(MetricsRegistry, JsonlIsSortedDeterministicAndWellFormed) {
   MetricsRegistry registry;
   registry.GetCounter("zeta")->Add(1);
   registry.GetCounter("alpha")->Add(2);
-  registry.GetGauge("mid")->Set(3);
   registry.GetHistogram("hist", LatencyBucketsUs())->Observe(12345);
 
   const std::string jsonl = registry.ToJsonl();

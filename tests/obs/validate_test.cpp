@@ -94,7 +94,7 @@ void WriteRun(const fs::path& dir, void (*mutate)(Logs&) = nullptr) {
   MetricsRegistry metrics;
   metrics.GetCounter("provenance.violation{check=duplicate_first_seen}");
   metrics.GetCounter("fault.injected{kind=node_crash}")->Add(3);
-  metrics.GetGauge("sim.queue")->Set(4);
+  metrics.GetCounter("sim.queue")->Add(4);
   metrics.GetHistogram("net.latency_us", {100, 1000})->Observe(50);
   WriteAll(dir / "metrics.jsonl", metrics.ToJsonl());
 
