@@ -116,20 +116,17 @@ void BlockTree::Attach(BlockPtr block, TimePoint received,
 
   const BlockId id = InternNode(block->hash);
   Node& node = nodes_[id];
-  if (node.block == nullptr) {
-    node.block = block;
-    node.total_difficulty = td;
-    node.first_seen = received;
-    node.parent = parent_id;
-    node.next_sibling = nodes_[parent_id].first_child;
-    nodes_[parent_id].first_child = id;
-    ++attached_;
-  }
-  // Unconditional on purpose: if the same block was buffered twice as an
-  // orphan the second attach is a no-op above, but the height bucket has
-  // always picked up the duplicate entry and downstream consumers (uncle
-  // scan, HashesAtHeight) see it — preserved bit-for-bit from the
-  // hash-map-era tree.
+  // A block buffered twice as an orphan is drained twice; the second attach
+  // finds it attached and changes nothing (the first one already drained its
+  // own waiters, and the head is at least as heavy as it).
+  if (node.block != nullptr) return;
+  node.block = block;
+  node.total_difficulty = td;
+  node.first_seen = received;
+  node.parent = parent_id;
+  node.next_sibling = nodes_[parent_id].first_child;
+  nodes_[parent_id].first_child = id;
+  ++attached_;
   HeightBucket(block->header.number).push_back(id);
 
   MaybeReorg(id, result);
@@ -349,23 +346,21 @@ bool BlockTree::CheckInvariants() const {
   // Every non-genesis attached node appears on exactly one child list.
   ETHSIM_TREE_CHECK(child_links == attached_ - 1);
 
-  // Height buckets refer to attached nodes at the right height. Duplicate
-  // entries are legal (double-buffered orphan quirk); each distinct id must
-  // appear in exactly one bucket.
-  std::size_t distinct_in_buckets = 0;
+  // Height buckets refer to attached nodes at the right height, and each
+  // attached id appears exactly once across all buckets.
+  std::size_t bucket_entries = 0;
   std::vector<bool> seen_in_bucket(nodes_.size(), false);
   for (std::size_t index = 0; index < by_height_.size(); ++index) {
     for (const BlockId id : by_height_[index]) {
       ETHSIM_TREE_CHECK(id < nodes_.size() && nodes_[id].block != nullptr);
       ETHSIM_TREE_CHECK(nodes_[id].block->header.number ==
                         genesis_number_ + index);
-      if (!seen_in_bucket[id]) {
-        seen_in_bucket[id] = true;
-        ++distinct_in_buckets;
-      }
+      ETHSIM_TREE_CHECK(!seen_in_bucket[id]);
+      seen_in_bucket[id] = true;
+      ++bucket_entries;
     }
   }
-  ETHSIM_TREE_CHECK(distinct_in_buckets == attached_);
+  ETHSIM_TREE_CHECK(bucket_entries == attached_);
 
   // Canonical index: contiguous genesis..head, linked parent-to-parent.
   const std::uint64_t top = nodes_[head_id_].block->header.number;

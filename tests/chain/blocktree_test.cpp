@@ -164,6 +164,28 @@ TEST_F(BlockTreeFixture, OrphanSiblingCascadeAdoptsThenRetires) {
   EXPECT_TRUE(tree.CheckInvariants());
 }
 
+TEST_F(BlockTreeFixture, TwiceBufferedOrphanIsOneUncleCandidate) {
+  // Y and X both wait on their unknown parent P, X buffered twice (a pushed
+  // copy and a fetched one). P's arrival attaches Y (the head) and X (an
+  // equal-difficulty sibling) once each, so a block built on Y may name X as
+  // an uncle once, never twice.
+  const BlockPtr p = Child(genesis, 1000);
+  const BlockPtr y = Child(p, 1000, 1);
+  const BlockPtr x = Child(p, 1000, 2, Addr(9));
+  EXPECT_EQ(tree.Add(y, At(1)).outcome, BlockTree::AddOutcome::kOrphaned);
+  EXPECT_EQ(tree.Add(x, At(2)).outcome, BlockTree::AddOutcome::kOrphaned);
+  EXPECT_EQ(tree.Add(x, At(3)).outcome, BlockTree::AddOutcome::kOrphaned);
+
+  const auto r = tree.Add(p, At(4));
+  EXPECT_EQ(EditsOf(r), (std::vector<Edit>{{p, true}, {y, true}}));
+  EXPECT_EQ(tree.head_hash(), y->hash);
+  EXPECT_EQ(tree.FirstSeen(x->hash), At(2));
+  const auto uncles = tree.UncleCandidates(y->hash);
+  ASSERT_EQ(uncles.size(), 1u);
+  EXPECT_EQ(uncles[0].Hash(), x->hash);
+  EXPECT_TRUE(tree.CheckInvariants());
+}
+
 TEST_F(BlockTreeFixture, OrphanChainsResolveRecursively) {
   const BlockPtr b1 = Child(genesis, 1000);
   const BlockPtr b2 = Child(b1, 1000);
