@@ -32,7 +32,8 @@ std::string Eq(const char* what, std::uint64_t lhs, std::uint64_t rhs) {
 // The reference tree's structural audit plus the fork-choice postcondition
 // the audit cannot see from inside: total difficulty strictly increases
 // along the canonical chain (heaviest-chain fork choice would be meaningless
-// otherwise).
+// otherwise). No fault kind injects invalid blocks, so an honest world mints
+// only valid ones: any consensus rejection at import is a minting bug.
 void ChainOracle(const core::Experiment& exp, Failures& failures) {
   const chain::BlockTree& tree = exp.reference_tree();
   if (!tree.CheckInvariants())
@@ -57,6 +58,12 @@ void ChainOracle(const core::Experiment& exp, Failures& failures) {
       break;
     }
   }
+  std::uint64_t invalid = 0;
+  for (const auto& node : exp.nodes()) invalid += node->invalid_blocks();
+  if (invalid != 0)
+    Fail(failures, "chain-invariants",
+         Eq("blocks rejected as invalid at import (summed over nodes)",
+            invalid, 0));
 }
 
 // submitted ⊇ admitted ⊇ included ⊇ committed, reconciled across three

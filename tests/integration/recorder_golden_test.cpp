@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <string>
 
+#include "check/oracles.hpp"
 #include "common/keccak.hpp"
 #include "common/types.hpp"
 #include "core/experiment.hpp"
@@ -93,6 +94,18 @@ TEST(RecorderGolden, FaultedRunArtifactsUnchanged) {
   EXPECT_EQ(FileKeccak(dir + "/txprov.bin"),
             "7a6770058f15a89e3c6fdb702d7df7841cc8eb9d4ee359c8966619c2c1b583ce");
   std::filesystem::remove_all(dir);
+}
+
+// The same faulted world run through every oracle. Every block it mints must
+// pass every peer's import checks: none of its faults injects an invalid
+// block, so a rejection (a pool naming one block as both uncles, say) is a
+// minting bug.
+TEST(RecorderGolden, FaultedRunPassesOracles) {
+  core::Experiment exp{FaultedConfig()};
+  exp.Run();
+  const std::vector<check::OracleFailure> failures = check::RunOracles(exp);
+  for (const check::OracleFailure& failure : failures)
+    ADD_FAILURE() << failure.oracle << ": " << failure.detail;
 }
 
 }  // namespace
