@@ -8,6 +8,7 @@
 // the engine's events/second trajectory is tracked across PRs.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -33,6 +34,14 @@
 namespace {
 
 using namespace ethsim;
+
+// The genesis block every chain bench and bench world starts from.
+chain::BlockPtr SealedGenesis(chain::BlockArena& arena) {
+  chain::Block g;
+  g.header.difficulty = 1000;
+  g.Seal();
+  return arena.Adopt(std::move(g));
+}
 
 void BM_Keccak256(benchmark::State& state) {
   const std::string input(static_cast<std::size_t>(state.range(0)), 'x');
@@ -104,10 +113,7 @@ void BM_BlockTreeLinearInsert(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     chain::BlockArena arena;
-    chain::Block g;
-    g.header.difficulty = 1000;
-    g.Seal();
-    const chain::BlockPtr genesis = arena.Adopt(std::move(g));
+    const chain::BlockPtr genesis = SealedGenesis(arena);
     std::vector<chain::BlockPtr> blocks;
     chain::BlockPtr tip = genesis;
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -181,10 +187,7 @@ void BM_BlockTreeReorgChurn(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     chain::BlockArena arena;
-    chain::Block g;
-    g.header.difficulty = 1000;
-    g.Seal();
-    const chain::BlockPtr genesis = arena.Adopt(std::move(g));
+    const chain::BlockPtr genesis = SealedGenesis(arena);
     std::vector<chain::BlockPtr> blocks;
     chain::BlockPtr tips[2] = {genesis, genesis};
     // Interleave: extend A by one, then B by two, then A by two, ... so the
@@ -215,6 +218,69 @@ void BM_BlockTreeReorgChurn(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_BlockTreeReorgChurn)->Arg(400);
+
+// A world's chain state: range(0) views over one BlockDag, each importing
+// the same forked 200-block set in its own shuffled order, with one block in
+// ten delivered twice, so every view sees orphans, duplicates and
+// equal-difficulty ties. The DAG and the views are rebuilt every iteration.
+// items/sec = (view, block) imports/sec; bytes_per_view_block is the views'
+// own heap per attached block at the end (the DAG is counted once per world
+// and left out).
+void BM_BlockTreeViews(benchmark::State& state) {
+  const auto views = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kBlocks = 200;
+  chain::BlockArena arena;
+  const chain::BlockPtr genesis = SealedGenesis(arena);
+  Rng rng{21};
+  std::vector<chain::BlockPtr> blocks;
+  for (std::size_t i = 0; i < kBlocks; ++i) {
+    // Extend one of the last four blocks; two difficulties make ties.
+    const std::size_t window = std::min<std::size_t>(blocks.size(), 4);
+    const chain::BlockPtr parent =
+        window == 0 ? genesis
+                    : blocks[blocks.size() - 1 - rng.NextBounded(window)];
+    chain::Block body;
+    body.header.parent_hash = parent->hash;
+    body.header.number = parent->header.number + 1;
+    body.header.difficulty = 1000 + 500 * rng.NextBounded(2);
+    body.header.mix_seed = rng.Next();
+    body.Seal();
+    blocks.push_back(arena.Adopt(std::move(body)));
+  }
+  std::vector<std::vector<chain::BlockPtr>> orders(views, blocks);
+  for (auto& order : orders) {
+    for (std::size_t i = 0; i < kBlocks / 10; ++i)
+      order.push_back(blocks[rng.NextBounded(kBlocks)]);
+    for (std::size_t i = order.size(); i > 1; --i)
+      std::swap(order[i - 1], order[rng.NextBounded(i)]);
+  }
+
+  double bytes_per_view_block = 0;
+  for (auto _ : state) {
+    chain::BlockDag dag{genesis};
+    std::vector<chain::BlockTree> trees;
+    trees.reserve(views);
+    for (std::size_t v = 0; v < views; ++v) {
+      chain::BlockTree& tree = trees.emplace_back(dag);
+      std::int64_t t = 0;
+      for (const chain::BlockPtr& block : orders[v])
+        tree.Add(block, TimePoint::FromMicros(++t));
+    }
+    state.PauseTiming();
+    std::size_t bytes = 0, attached = 0;
+    for (const chain::BlockTree& tree : trees) {
+      bytes += tree.allocated_bytes();
+      attached += tree.block_count();
+    }
+    bytes_per_view_block = static_cast<double>(bytes) / attached;
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(views) *
+                          static_cast<std::int64_t>(orders[0].size()));
+  state.counters["bytes_per_view_block"] = bytes_per_view_block;
+}
+BENCHMARK(BM_BlockTreeViews)->Arg(1'000)->Unit(benchmark::kMillisecond);
 
 // One iterative FindNode lookup from a 3-bootstrap local table, in a world
 // of range(0) nodes whose full tables are one Registry built outside the
@@ -267,10 +333,8 @@ void BM_GossipBlockBroadcast(benchmark::State& state) {
     net::NetworkParams params;
     net::Network network{simulator, Rng{7}, params};
     chain::BlockArena arena;
-    chain::Block g;
-    g.header.difficulty = 1000;
-    g.Seal();
-    const chain::BlockPtr genesis = arena.Adopt(std::move(g));
+    const chain::BlockPtr genesis = SealedGenesis(arena);
+    chain::BlockDag dag{genesis};
     Rng ids{11};
     chain::HashInterner hash_ids;
     std::vector<std::unique_ptr<eth::EthNode>> nodes;
@@ -278,7 +342,7 @@ void BM_GossipBlockBroadcast(benchmark::State& state) {
       const net::HostId host =
           network.AddHost({net::Region::WesternEurope, 1e9});
       nodes.push_back(std::make_unique<eth::EthNode>(
-          simulator, network, hash_ids, host, p2p::RandomNodeId(ids), genesis,
+          simulator, network, hash_ids, dag, host, p2p::RandomNodeId(ids),
           eth::NodeConfig{}, ids.Fork(static_cast<std::uint64_t>(i))));
     }
     Rng topo{13};
@@ -313,16 +377,12 @@ BENCHMARK(BM_GossipBlockBroadcast)->Unit(benchmark::kMillisecond);
 struct FlushHub {
   FlushHub(std::size_t peers, const eth::NodeConfig& cfg)
       : network{simulator, Rng{7}, net::NetworkParams{.drop_prob = 1.0}} {
-    chain::Block g;
-    g.header.difficulty = 1000;
-    g.Seal();
-    const chain::BlockPtr genesis = arena.Adopt(std::move(g));
     Rng ids{11};
     for (std::size_t i = 0; i <= peers; ++i) {
       const net::HostId host =
           network.AddHost({net::Region::WesternEurope, 1e9});
       nodes.push_back(std::make_unique<eth::EthNode>(
-          simulator, network, hash_ids, host, p2p::RandomNodeId(ids), genesis,
+          simulator, network, hash_ids, dag, host, p2p::RandomNodeId(ids),
           cfg, ids.Fork(i)));
     }
     for (std::size_t i = 1; i <= peers; ++i)
@@ -343,6 +403,7 @@ struct FlushHub {
   sim::Simulator simulator;
   net::Network network;
   chain::BlockArena arena;
+  chain::BlockDag dag{SealedGenesis(arena)};
   chain::HashInterner hash_ids;
   std::vector<std::unique_ptr<eth::EthNode>> nodes;
 };
@@ -389,10 +450,8 @@ void BM_WorkloadSubmit(benchmark::State& state) {
     sim::Simulator simulator;
     net::Network network{simulator, Rng{7}, net::NetworkParams{}};
     chain::BlockArena arena;
-    chain::Block g;
-    g.header.difficulty = 1000;
-    g.Seal();
-    const chain::BlockPtr genesis = arena.Adopt(std::move(g));
+    const chain::BlockPtr genesis = SealedGenesis(arena);
+    chain::BlockDag dag{genesis};
     Rng ids{11};
     chain::HashInterner hash_ids;
     std::vector<std::unique_ptr<eth::EthNode>> nodes;
@@ -401,7 +460,7 @@ void BM_WorkloadSubmit(benchmark::State& state) {
       const net::HostId host =
           network.AddHost({net::Region::WesternEurope, 1e9});
       nodes.push_back(std::make_unique<eth::EthNode>(
-          simulator, network, hash_ids, host, p2p::RandomNodeId(ids), genesis,
+          simulator, network, hash_ids, dag, host, p2p::RandomNodeId(ids),
           eth::NodeConfig{}, ids.Fork(static_cast<std::uint64_t>(i))));
       frontends.push_back(nodes.back().get());
     }
@@ -526,10 +585,15 @@ class EngineJsonReporter : public benchmark::ConsoleReporter {
         case benchmark::kSecond: e.real_time_ns *= 1e9; break;
         default: break;  // kNanosecond
       }
-      const auto items = run.counters.find("items_per_second");
-      const auto bytes = run.counters.find("bytes_per_second");
-      if (items != run.counters.end()) e.items_per_second = items->second;
-      if (bytes != run.counters.end()) e.bytes_per_second = bytes->second;
+      for (const auto& [name, counter] : run.counters) {
+        if (name == "items_per_second") {
+          e.items_per_second = counter;
+        } else if (name == "bytes_per_second") {
+          e.bytes_per_second = counter;
+        } else {
+          e.counters[name] = counter;  // a bench's own measure, e.g. bytes
+        }
+      }
       // Counter-less benchmarks used to land in the JSON without an
       // items_per_second field (rendered as null downstream). Derive the
       // natural one-item-per-iteration rate so the field is always present.
@@ -558,6 +622,8 @@ class EngineJsonReporter : public benchmark::ConsoleReporter {
       std::fprintf(f, ", \"items_per_second\": %.0f", e.items_per_second);
       if (e.bytes_per_second > 0.0)
         std::fprintf(f, ", \"bytes_per_second\": %.0f", e.bytes_per_second);
+      for (const auto& [counter, value] : e.counters)
+        std::fprintf(f, ", \"%s\": %.2f", counter.c_str(), value);
       std::fprintf(f, "}%s\n", ++i < entries_.size() ? "," : "");
     }
     std::fprintf(f, "  }\n}\n");
@@ -570,6 +636,7 @@ class EngineJsonReporter : public benchmark::ConsoleReporter {
     double real_time_ns = 0.0;
     double items_per_second = 0.0;
     double bytes_per_second = 0.0;
+    std::map<std::string, double> counters;
   };
   std::map<std::string, Entry> entries_;  // sorted => stable JSON diffs
 };

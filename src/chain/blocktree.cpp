@@ -6,42 +6,34 @@
 
 namespace ethsim::chain {
 
-BlockTree::BlockTree(BlockPtr genesis) {
-  assert(genesis && genesis->hash == genesis->header.Hash());
-  genesis_ = genesis->hash;
-  genesis_number_ = genesis->header.number;
-  head_ = genesis_;
-  genesis_id_ = InternNode(genesis_);
-  head_id_ = genesis_id_;
-  Node& node = nodes_[genesis_id_];
-  node.block = genesis;
-  node.total_difficulty = genesis->header.difficulty;
-  ++attached_;
-  HeightBucket(genesis_number_).push_back(genesis_id_);
-  CanonicalSlot(genesis_number_) = genesis_id_;
+BlockTree::BlockTree(BlockDag& dag) : dag_(&dag) {
+  const BlockId genesis = dag_->genesis_id();
+  first_seen_.assign(dag_->size(), kDetached);
+  first_seen_[genesis] = TimePoint{}.micros();
+  attached_ = 1;
+  head_id_ = genesis;
+  canonical_.push_back(genesis);
 }
 
-BlockTree::BlockId BlockTree::InternNode(const Hash32& hash) {
-  const BlockId id = interner_.Intern(hash);
-  if (id >= nodes_.size()) nodes_.resize(id + 1);
-  return id;
+BlockTree::BlockTree(BlockPtr genesis)
+    : BlockTree(std::make_unique<BlockDag>(genesis)) {}
+
+BlockTree::BlockTree(std::unique_ptr<BlockDag> dag) : BlockTree(*dag) {
+  owned_dag_ = std::move(dag);
 }
 
 BlockTree::BlockId BlockTree::FindAttached(const Hash32& hash) const {
-  const BlockId id = interner_.Find(hash);
-  if (id == kNoId || nodes_[id].block == nullptr) return kNoId;
-  return id;
+  const BlockId id = dag_->Find(hash);
+  return id != kNoId && IsAttached(id) ? id : kNoId;
 }
 
-std::vector<BlockTree::BlockId>& BlockTree::HeightBucket(
-    std::uint64_t number) {
-  const std::size_t index = number - genesis_number_;
-  if (index >= by_height_.size()) by_height_.resize(index + 1);
-  return by_height_[index];
+bool BlockTree::IsCanonicalId(BlockId id) const {
+  const std::size_t index = dag_->number(id) - genesis_number();
+  return index < canonical_.size() && canonical_[index] == id;
 }
 
 BlockTree::BlockId& BlockTree::CanonicalSlot(std::uint64_t number) {
-  const std::size_t index = number - genesis_number_;
+  const std::size_t index = number - genesis_number();
   if (index >= canonical_.size()) canonical_.resize(index + 1, kNoId);
   return canonical_[index];
 }
@@ -52,37 +44,30 @@ bool BlockTree::Contains(const Hash32& hash) const {
 
 BlockPtr BlockTree::Get(const Hash32& hash) const {
   const BlockId id = FindAttached(hash);
-  return id == kNoId ? nullptr : nodes_[id].block;
+  return id == kNoId ? nullptr : dag_->block(id);
 }
 
 TimePoint BlockTree::FirstSeen(const Hash32& hash) const {
   const BlockId id = FindAttached(hash);
-  return id == kNoId ? TimePoint{} : nodes_[id].first_seen;
-}
-
-std::uint64_t BlockTree::head_number() const {
-  return nodes_[head_id_].block->header.number;
+  return id == kNoId ? TimePoint{} : TimePoint::FromMicros(first_seen_[id]);
 }
 
 std::uint64_t BlockTree::TotalDifficulty(const Hash32& hash) const {
   const BlockId id = FindAttached(hash);
-  return id == kNoId ? 0 : nodes_[id].total_difficulty;
+  return id == kNoId ? 0 : dag_->total_difficulty(id);
 }
 
 bool BlockTree::IsCanonical(const Hash32& hash) const {
   const BlockId id = FindAttached(hash);
-  if (id == kNoId) return false;
-  const std::size_t index =
-      nodes_[id].block->header.number - genesis_number_;
-  return index < canonical_.size() && canonical_[index] == id;
+  return id != kNoId && IsCanonicalId(id);
 }
 
 Hash32 BlockTree::CanonicalAt(std::uint64_t number) const {
-  if (number < genesis_number_) return Hash32{};
-  const std::size_t index = number - genesis_number_;
+  if (number < genesis_number()) return Hash32{};
+  const std::size_t index = number - genesis_number();
   if (index >= canonical_.size() || canonical_[index] == kNoId)
     return Hash32{};
-  return interner_.Resolve(canonical_[index]);
+  return dag_->block(canonical_[index])->hash;
 }
 
 BlockTree::AddResult BlockTree::Add(BlockPtr block, TimePoint received) {
@@ -92,42 +77,31 @@ BlockTree::AddResult BlockTree::Add(BlockPtr block, TimePoint received) {
     result.outcome = AddOutcome::kDuplicate;
     return result;
   }
-  if (FindAttached(block->header.parent_hash) == kNoId) {
+  const BlockId parent = FindAttached(block->header.parent_hash);
+  if (parent == kNoId) {
     // Buffer until the parent shows up (announcement/fetch races make this
     // a normal occurrence, not an error). Interning the missing parent
-    // reserves its id, so the eventual attach finds the waiters directly.
-    orphans_[InternNode(block->header.parent_hash)].emplace_back(block,
-                                                                 received);
+    // reserves its DAG id, so the eventual attach finds the waiters directly.
+    orphans_[dag_->Intern(block->header.parent_hash)].emplace_back(block,
+                                                                   received);
     result.outcome = AddOutcome::kOrphaned;
     return result;
   }
 
-  Attach(block, received, result);
+  Attach(block, parent, received, result);
   return result;
 }
 
-void BlockTree::Attach(BlockPtr block, TimePoint received,
+void BlockTree::Attach(BlockPtr block, BlockId parent, TimePoint received,
                        AddResult& result) {
-  const BlockId parent_id = FindAttached(block->header.parent_hash);
-  assert(parent_id != kNoId);
-  assert(block->header.number == nodes_[parent_id].block->header.number + 1);
-  const std::uint64_t td =
-      nodes_[parent_id].total_difficulty + block->header.difficulty;
-
-  const BlockId id = InternNode(block->hash);
-  Node& node = nodes_[id];
+  const BlockId id = dag_->Record(block, parent);
   // A block buffered twice as an orphan is drained twice; the second attach
   // finds it attached and changes nothing (the first one already drained its
   // own waiters, and the head is at least as heavy as it).
-  if (node.block != nullptr) return;
-  node.block = block;
-  node.total_difficulty = td;
-  node.first_seen = received;
-  node.parent = parent_id;
-  node.next_sibling = nodes_[parent_id].first_child;
-  nodes_[parent_id].first_child = id;
+  if (IsAttached(id)) return;
+  if (id >= first_seen_.size()) first_seen_.resize(dag_->size(), kDetached);
+  first_seen_[id] = received.micros();
   ++attached_;
-  HeightBucket(block->header.number).push_back(id);
 
   MaybeReorg(id, result);
 
@@ -136,7 +110,7 @@ void BlockTree::Attach(BlockPtr block, TimePoint received,
     auto waiting = std::move(it->second);
     orphans_.erase(it);
     for (auto& [child, child_received] : waiting)
-      Attach(child, child_received, result);
+      Attach(child, id, child_received, result);
   }
 }
 
@@ -146,8 +120,8 @@ void BlockTree::MaybeReorg(BlockId candidate, AddResult& result) {
   // Geth 1.8 actually coin-flips equal-difficulty reorgs; we keep
   // first-seen for determinism, which is also what the paper's measurement
   // nodes effectively record).
-  if (nodes_[candidate].total_difficulty <=
-      nodes_[head_id_].total_difficulty) {
+  if (dag_->total_difficulty(candidate) <=
+      dag_->total_difficulty(head_id_)) {
     if (result.outcome != AddOutcome::kAddedNewHead)
       result.outcome = AddOutcome::kAdded;
     return;
@@ -156,34 +130,27 @@ void BlockTree::MaybeReorg(BlockId candidate, AddResult& result) {
   // Walk the new head's ancestry down to the first block that is already
   // canonical (genesis always is); everything above it on the old chain
   // retires.
-  auto is_canonical_id = [&](BlockId id) {
-    const std::size_t index =
-        nodes_[id].block->header.number - genesis_number_;
-    return index < canonical_.size() && canonical_[index] == id;
-  };
   BlockId fork = candidate;
-  while (!is_canonical_id(fork)) fork = nodes_[fork].parent;
-  const std::uint64_t fork_point = nodes_[fork].block->header.number;
+  while (!IsCanonicalId(fork)) fork = dag_->parent(fork);
+  const std::uint64_t fork_point = dag_->number(fork);
 
-  const std::uint64_t old_head_number =
-      nodes_[head_id_].block->header.number;
+  const std::uint64_t old_head_number = dag_->number(head_id_);
   for (std::uint64_t h = fork_point + 1; h <= old_head_number; ++h) {
-    BlockId& slot = canonical_[h - genesis_number_];
+    BlockId& slot = canonical_[h - genesis_number()];
     if (slot == kNoId) break;
-    result.edits.push_back({nodes_[slot].block, false});
+    result.edits.push_back({dag_->block(slot), false});
     slot = kNoId;
   }
 
   // The adoptions follow this switch's retirements, oldest first.
   const std::size_t first_adopted = result.edits.size();
-  for (BlockId id = candidate; id != fork; id = nodes_[id].parent) {
-    result.edits.push_back({nodes_[id].block, true});
-    CanonicalSlot(nodes_[id].block->header.number) = id;
+  for (BlockId id = candidate; id != fork; id = dag_->parent(id)) {
+    result.edits.push_back({dag_->block(id), true});
+    CanonicalSlot(dag_->number(id)) = id;
   }
   std::reverse(result.edits.begin() + first_adopted, result.edits.end());
 
   head_id_ = candidate;
-  head_ = nodes_[candidate].block->hash;
   result.outcome = AddOutcome::kAddedNewHead;
 }
 
@@ -192,8 +159,7 @@ std::vector<BlockHeader> BlockTree::UncleCandidates(
     bool forbid_same_miner_as_main) const {
   const BlockId parent_id = FindAttached(parent);
   if (parent_id == kNoId) return {};
-  const std::uint64_t child_number =
-      nodes_[parent_id].block->header.number + 1;
+  const std::uint64_t child_number = dag_->number(parent_id) + 1;
 
   // Collect up to 7 ancestors of the child (starting at the parent) plus the
   // uncle hashes they already reference; both are excluded.
@@ -202,13 +168,13 @@ std::vector<BlockHeader> BlockTree::UncleCandidates(
   std::unordered_map<std::uint64_t, Address> main_miner_at;  // per height
   BlockId cursor = parent_id;
   for (int depth = 0; depth < 7; ++depth) {
-    const Node& n = nodes_[cursor];
+    const BlockPtr block = dag_->block(cursor);
     ancestors.push_back(cursor);
-    excluded.push_back(n.block->hash);
-    main_miner_at.emplace(n.block->header.number, n.block->header.miner);
-    for (const auto& u : n.block->uncles) excluded.push_back(u.Hash());
-    if (cursor == genesis_id_) break;
-    cursor = n.parent;
+    excluded.push_back(block->hash);
+    main_miner_at.emplace(block->header.number, block->header.miner);
+    for (const auto& u : block->uncles) excluded.push_back(u.Hash());
+    if (cursor == dag_->genesis_id()) break;
+    cursor = dag_->parent(cursor);
   }
 
   auto is_excluded = [&](const Hash32& h) {
@@ -221,33 +187,36 @@ std::vector<BlockHeader> BlockTree::UncleCandidates(
 
   struct Candidate {
     BlockHeader header;
-    TimePoint first_seen;
+    std::int64_t first_seen;
     Hash32 hash;
   };
   std::vector<Candidate> candidates;
   const std::uint64_t min_height =
-      child_number > 6 ? child_number - 6 : genesis_number_;
+      child_number > 6 ? child_number - 6 : genesis_number();
   for (std::uint64_t h = min_height; h < child_number; ++h) {
-    const std::size_t index = h - genesis_number_;
-    if (index >= by_height_.size()) continue;
-    for (const BlockId id : by_height_[index]) {
-      const Node& n = nodes_[id];
-      if (is_excluded(n.block->hash)) continue;
+    // The DAG lists every block recorded at this height by any view; the
+    // ones this view has not attached are not known here.
+    for (const BlockId id : dag_->AtHeight(h)) {
+      if (!IsAttached(id)) continue;
+      const BlockPtr block = dag_->block(id);
+      if (is_excluded(block->hash)) continue;
       // Yellow-paper rule: the uncle's parent must be an ancestor of the
       // including block (i.e., the uncle is a sibling of some ancestor).
-      if (!is_ancestor(n.parent)) continue;
+      if (!is_ancestor(dag_->parent(id))) continue;
       // §V proposal: no uncle credit to a miner that already holds the
       // main-chain slot at the same height.
       if (forbid_same_miner_as_main) {
         const auto main_it = main_miner_at.find(h);
         if (main_it != main_miner_at.end() &&
-            main_it->second == n.block->header.miner)
+            main_it->second == block->header.miner)
           continue;
       }
-      candidates.push_back({n.block->header, n.first_seen, n.block->hash});
+      candidates.push_back({block->header, first_seen_[id], block->hash});
     }
   }
 
+  // (first_seen, hash) is a total order over distinct blocks, so the result
+  // does not depend on the order the DAG recorded them in.
   std::sort(candidates.begin(), candidates.end(),
             [](const auto& a, const auto& b) {
               if (a.first_seen != b.first_seen)
@@ -262,33 +231,33 @@ std::vector<BlockHeader> BlockTree::UncleCandidates(
   return out;
 }
 
-std::vector<Hash32> BlockTree::HashesAtHeight(std::uint64_t number) const {
-  if (number < genesis_number_) return {};
-  const std::size_t index = number - genesis_number_;
-  if (index >= by_height_.size()) return {};
-  std::vector<Hash32> out;
-  out.reserve(by_height_[index].size());
-  for (const BlockId id : by_height_[index])
-    out.push_back(nodes_[id].block->hash);
-  return out;
+std::size_t BlockTree::allocated_bytes() const {
+  std::size_t total = first_seen_.capacity() * sizeof(first_seen_[0]) +
+                      canonical_.capacity() * sizeof(BlockId);
+  // Orphan buffers: the bucket array, one map node per waited-on parent and
+  // each waiting list's capacity.
+  total += orphans_.bucket_count() * sizeof(void*);
+  for (const auto& [parent, waiting] : orphans_)
+    total += sizeof(void*) + sizeof(parent) + sizeof(waiting) +
+             waiting.capacity() * sizeof(waiting[0]);
+  return total;
 }
 
 std::vector<BlockPtr> BlockTree::AllBlocks() const {
   std::vector<BlockPtr> out;
   out.reserve(attached_);
-  for (const Node& node : nodes_)
-    if (node.block != nullptr) out.push_back(node.block);
+  for (BlockId id = 0; id < first_seen_.size(); ++id)
+    if (IsAttached(id)) out.push_back(dag_->block(id));
   return out;
 }
 
 std::vector<BlockPtr> BlockTree::CanonicalChain() const {
   std::vector<BlockPtr> out;
-  const std::uint64_t top = head_number();
-  out.reserve(top - genesis_number_ + 1);
-  for (std::uint64_t h = genesis_number_; h <= top; ++h) {
-    const BlockId id = canonical_[h - genesis_number_];
+  out.reserve(canonical_.size());
+  for (std::uint64_t h = genesis_number(); h <= head_number(); ++h) {
+    const BlockId id = canonical_[h - genesis_number()];
     assert(id != kNoId);
-    out.push_back(nodes_[id].block);
+    out.push_back(dag_->block(id));
   }
   return out;
 }
@@ -303,89 +272,47 @@ bool BlockTree::CheckInvariants() const {
     }                                                                       \
   } while (0)
 
-  ETHSIM_TREE_CHECK(nodes_.size() == interner_.size());
-  std::size_t attached_seen = 0;
-  std::size_t child_links = 0;
-  for (BlockId id = 0; id < nodes_.size(); ++id) {
-    const Node& node = nodes_[id];
-    if (node.block == nullptr) {
-      // Reserved id (orphan's missing parent): carries no tree state.
-      ETHSIM_TREE_CHECK(node.parent == kNoId && node.first_child == kNoId);
-      continue;
-    }
-    ++attached_seen;
-    ETHSIM_TREE_CHECK(node.block->hash == interner_.Resolve(id));
-    if (id == genesis_id_) {
-      ETHSIM_TREE_CHECK(node.parent == kNoId);
-      ETHSIM_TREE_CHECK(node.total_difficulty ==
-                        node.block->header.difficulty);
-    } else {
-      ETHSIM_TREE_CHECK(node.parent != kNoId &&
-                        node.parent < nodes_.size());
-      const Node& parent = nodes_[node.parent];
-      ETHSIM_TREE_CHECK(parent.block != nullptr);
-      ETHSIM_TREE_CHECK(node.block->header.parent_hash ==
-                        parent.block->hash);
-      ETHSIM_TREE_CHECK(node.block->header.number ==
-                        parent.block->header.number + 1);
-      ETHSIM_TREE_CHECK(node.total_difficulty ==
-                        parent.total_difficulty +
-                            node.block->header.difficulty);
-    }
-    // Child list: every entry names this node as parent; the list is no
-    // longer than the arena, which rules out sibling cycles.
-    std::size_t len = 0;
-    for (BlockId c = node.first_child; c != kNoId;
-         c = nodes_[c].next_sibling) {
-      ETHSIM_TREE_CHECK(c < nodes_.size() && nodes_[c].parent == id);
-      ETHSIM_TREE_CHECK(++len <= nodes_.size());
-    }
-    child_links += len;
-  }
-  ETHSIM_TREE_CHECK(attached_seen == attached_);
-  // Every non-genesis attached node appears on exactly one child list.
-  ETHSIM_TREE_CHECK(child_links == attached_ - 1);
+  ETHSIM_TREE_CHECK(dag_->CheckInvariants());
+  ETHSIM_TREE_CHECK(first_seen_.size() <= dag_->size());
 
-  // Height buckets refer to attached nodes at the right height, and each
-  // attached id appears exactly once across all buckets.
-  std::size_t bucket_entries = 0;
-  std::vector<bool> seen_in_bucket(nodes_.size(), false);
-  for (std::size_t index = 0; index < by_height_.size(); ++index) {
-    for (const BlockId id : by_height_[index]) {
-      ETHSIM_TREE_CHECK(id < nodes_.size() && nodes_[id].block != nullptr);
-      ETHSIM_TREE_CHECK(nodes_[id].block->header.number ==
-                        genesis_number_ + index);
-      ETHSIM_TREE_CHECK(!seen_in_bucket[id]);
-      seen_in_bucket[id] = true;
-      ++bucket_entries;
-    }
+  // Attached blocks are recorded in the DAG and hang off attached parents,
+  // so the attached set is a subtree rooted at genesis.
+  std::size_t attached_seen = 0;
+  for (BlockId id = 0; id < first_seen_.size(); ++id) {
+    if (!IsAttached(id)) continue;
+    ++attached_seen;
+    ETHSIM_TREE_CHECK(dag_->recorded(id));
+    if (id != dag_->genesis_id())
+      ETHSIM_TREE_CHECK(IsAttached(dag_->parent(id)));
   }
-  ETHSIM_TREE_CHECK(bucket_entries == attached_);
+  ETHSIM_TREE_CHECK(IsAttached(dag_->genesis_id()));
+  ETHSIM_TREE_CHECK(attached_seen == attached_);
 
   // Canonical index: contiguous genesis..head, linked parent-to-parent.
-  const std::uint64_t top = nodes_[head_id_].block->header.number;
-  ETHSIM_TREE_CHECK(top - genesis_number_ < canonical_.size());
-  ETHSIM_TREE_CHECK(canonical_[top - genesis_number_] == head_id_);
-  ETHSIM_TREE_CHECK(canonical_[0] == genesis_id_);
-  for (std::uint64_t h = genesis_number_; h <= top; ++h) {
-    const BlockId id = canonical_[h - genesis_number_];
-    ETHSIM_TREE_CHECK(id != kNoId && nodes_[id].block != nullptr);
-    ETHSIM_TREE_CHECK(nodes_[id].block->header.number == h);
-    if (h > genesis_number_)
-      ETHSIM_TREE_CHECK(nodes_[id].parent ==
-                        canonical_[h - 1 - genesis_number_]);
+  ETHSIM_TREE_CHECK(IsAttached(head_id_));
+  const std::uint64_t top = head_number();
+  ETHSIM_TREE_CHECK(top - genesis_number() < canonical_.size());
+  ETHSIM_TREE_CHECK(canonical_[top - genesis_number()] == head_id_);
+  ETHSIM_TREE_CHECK(canonical_[0] == dag_->genesis_id());
+  for (std::uint64_t h = genesis_number(); h <= top; ++h) {
+    const BlockId id = canonical_[h - genesis_number()];
+    ETHSIM_TREE_CHECK(id != kNoId && IsAttached(id));
+    ETHSIM_TREE_CHECK(dag_->number(id) == h);
+    if (h > genesis_number())
+      ETHSIM_TREE_CHECK(dag_->parent(id) ==
+                        canonical_[h - 1 - genesis_number()]);
   }
-  for (std::size_t index = top - genesis_number_ + 1;
+  for (std::size_t index = top - genesis_number() + 1;
        index < canonical_.size(); ++index)
     ETHSIM_TREE_CHECK(canonical_[index] == kNoId);
 
-  // Orphan buffers wait on ids that are either unattached or (transiently
-  // impossible) attached — after Add returns, a waited-on parent is never
-  // attached, since attaching drains its waiters.
+  // Orphan buffers wait on blocks this view has not attached (attaching a
+  // block drains its waiters), and each waiting block names that parent.
   for (const auto& [parent_id, waiting] : orphans_) {
-    ETHSIM_TREE_CHECK(parent_id < nodes_.size());
-    ETHSIM_TREE_CHECK(nodes_[parent_id].block == nullptr);
+    ETHSIM_TREE_CHECK(parent_id < dag_->size() && !IsAttached(parent_id));
     ETHSIM_TREE_CHECK(!waiting.empty());
+    for (const auto& [block, received] : waiting)
+      ETHSIM_TREE_CHECK(dag_->Find(block->header.parent_hash) == parent_id);
   }
 #undef ETHSIM_TREE_CHECK
   return true;

@@ -1,35 +1,38 @@
-// The block tree: every block a node has ever accepted, with total-difficulty
-// fork choice (heaviest chain wins, ties broken by first-seen, as in Geth),
-// canonical-chain maintenance with reorg reporting, orphan buffering, and
-// Ethereum's uncle-candidate rules.
+// The block tree: one node's view of the chain — every block it has
+// accepted, with total-difficulty fork choice (heaviest chain wins, ties
+// broken by first-seen, as in Geth), canonical-chain maintenance with reorg
+// reporting, orphan buffering, and Ethereum's uncle-candidate rules.
 //
-// Memory layout (DESIGN.md §12): block hashes are interned to dense uint32
-// ids and nodes live in a contiguous arena indexed by id — the hash-keyed
-// unordered_maps the tree used to carry (nodes/by_height/canonical) are now
-// one open-addressing probe into the interner followed by vector indexing.
-// Tree shape is explicit via parent/first-child/next-sibling links, and the
-// per-height and canonical indexes are id vectors keyed by height offset.
-// Block bodies themselves are owned by a chain::BlockArena elsewhere; the
-// tree holds borrowed BlockPtr handles.
+// Memory layout (DESIGN.md §12): a block's parent, height, total difficulty
+// and body are the same at every node, so they live once per world in a
+// chain::BlockDag. A tree is a thin view over it that holds only what
+// differs between nodes: a first-seen time per DAG id (which doubles as the
+// attached flag), the canonical index keyed by height offset, and the orphan
+// buffers. Fork-choice walks, reorgs and uncle scans follow the DAG's parent
+// ids and height lists and read the view's arrays, with no hash lookups.
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "chain/block.hpp"
-#include "chain/interner.hpp"
+#include "chain/block_dag.hpp"
 #include "common/time.hpp"
 
 namespace ethsim::chain {
 
 class BlockTree {
  public:
-  using BlockId = HashInterner::Id;
-  static constexpr BlockId kNoId = HashInterner::kNoId;
+  using BlockId = BlockDag::BlockId;
+  static constexpr BlockId kNoId = BlockDag::kNoId;
 
-  // The tree is rooted at a genesis block (number may be nonzero so runs can
-  // start at paper-era heights like 7,479,573).
+  // A view over a world's shared DAG, rooted at its genesis. The DAG must
+  // outlive the view.
+  explicit BlockTree(BlockDag& dag);
+  // A standalone tree over a private DAG rooted at `genesis`.
   explicit BlockTree(BlockPtr genesis);
 
   enum class AddOutcome {
@@ -63,9 +66,9 @@ class BlockTree {
   BlockPtr Get(const Hash32& hash) const;  // nullptr if unknown
   TimePoint FirstSeen(const Hash32& hash) const;
 
-  const Hash32& head_hash() const { return head_; }
-  BlockPtr head() const { return nodes_[head_id_].block; }
-  std::uint64_t head_number() const;
+  const Hash32& head_hash() const { return head()->hash; }
+  BlockPtr head() const { return dag_->block(head_id_); }
+  std::uint64_t head_number() const { return dag_->number(head_id_); }
   std::uint64_t TotalDifficulty(const Hash32& hash) const;
 
   bool IsCanonical(const Hash32& hash) const;
@@ -83,69 +86,55 @@ class BlockTree {
       const Hash32& parent, std::size_t max_uncles = 2,
       bool forbid_same_miner_as_main = false) const;
 
-  // All known block hashes at a height (canonical and forks).
-  std::vector<Hash32> HashesAtHeight(std::uint64_t number) const;
-
   std::size_t block_count() const { return attached_; }
   std::size_t orphan_count() const { return orphans_.size(); }
-  // Hash-interner occupancy in permille (size * 1000 / slots), for the
-  // state sampler's arena-health series. 750 is the grow threshold.
-  std::size_t interner_load_permille() const {
-    return interner_.slot_count() == 0
-               ? 0
-               : interner_.size() * 1000 / interner_.slot_count();
-  }
-  std::size_t interned_hashes() const { return interner_.size(); }
-  const Hash32& genesis_hash() const { return genesis_; }
-  std::uint64_t genesis_number() const { return genesis_number_; }
+  const Hash32& genesis_hash() const { return dag_->genesis()->hash; }
+  std::uint64_t genesis_number() const { return dag_->genesis_number(); }
+  // Heap held by this view alone (its arrays and orphan buffers, by
+  // capacity); the shared DAG reports its own.
+  std::size_t allocated_bytes() const;
 
-  // Enumeration for the analysis pipeline (attach order).
+  // Enumeration for the analysis pipeline (DAG id order).
   std::vector<BlockPtr> AllBlocks() const;
   std::vector<BlockPtr> CanonicalChain() const;  // genesis..head
 
-  // Structural audit: arena links form a tree rooted at genesis (acyclic,
-  // parent/child mutually consistent), total difficulty and heights
-  // telescope along parent links, the canonical index walks
-  // parent-to-parent from head down to genesis, and every height-bucket
-  // entry is attached. Returns false (after naming the violated condition
-  // on stderr) instead of asserting so the property tests can exercise it
-  // under any build type.
+  // Structural audit: the DAG's own audit, every attached block's parent is
+  // attached, the canonical index walks parent-to-parent from head down to
+  // genesis, and every orphan buffer waits on a block this view lacks.
+  // Returns false (after naming the violated condition on stderr) instead of
+  // asserting so the property tests can exercise it under any build type.
   bool CheckInvariants() const;
 
  private:
-  struct Node {
-    BlockPtr block = nullptr;  // nullptr: id reserved (orphan parent ref)
-    std::uint64_t total_difficulty = 0;
-    TimePoint first_seen;
-    BlockId parent = kNoId;
-    BlockId first_child = kNoId;
-    BlockId next_sibling = kNoId;
-  };
+  // The standalone constructor's path: a view over `dag`, which it keeps.
+  explicit BlockTree(std::unique_ptr<BlockDag> dag);
 
-  // Interns `hash`, growing the node arena so ids always index into it.
-  BlockId InternNode(const Hash32& hash);
-  // kNoId when unknown OR known only as an orphan's missing parent.
+  // first_seen_ value of an id this view has not attached.
+  static constexpr std::int64_t kDetached =
+      std::numeric_limits<std::int64_t>::min();
+
+  bool IsAttached(BlockId id) const {
+    return id < first_seen_.size() && first_seen_[id] != kDetached;
+  }
+  // kNoId when unknown here (never seen, or only buffered as an orphan).
   BlockId FindAttached(const Hash32& hash) const;
-
-  std::vector<BlockId>& HeightBucket(std::uint64_t number);
+  bool IsCanonicalId(BlockId id) const;
   BlockId& CanonicalSlot(std::uint64_t number);
 
-  void Attach(BlockPtr block, TimePoint received, AddResult& result);
+  void Attach(BlockPtr block, BlockId parent, TimePoint received,
+              AddResult& result);
   void MaybeReorg(BlockId candidate, AddResult& result);
 
-  HashInterner interner_;
-  std::vector<Node> nodes_;  // indexed by interned id
-  // interned parent id -> blocks waiting for that parent.
+  std::unique_ptr<BlockDag> owned_dag_;  // standalone trees only
+  BlockDag* dag_;
+  // First-seen time in µs, indexed by DAG id; kDetached where not attached.
+  std::vector<std::int64_t> first_seen_;
+  // DAG id of a missing parent -> blocks waiting for it, in arrival order.
   std::unordered_map<BlockId, std::vector<std::pair<BlockPtr, TimePoint>>>
       orphans_;
-  // Indexed by number - genesis_number_.
-  std::vector<std::vector<BlockId>> by_height_;
-  std::vector<BlockId> canonical_;  // kNoId = no canonical block (retired)
-  std::size_t attached_ = 0;        // nodes with a block (excludes reserved)
-  Hash32 genesis_;
-  std::uint64_t genesis_number_ = 0;
-  Hash32 head_;
-  BlockId genesis_id_ = kNoId;
+  // Indexed by number - genesis number; kNoId = no canonical block (retired).
+  std::vector<BlockId> canonical_;
+  std::size_t attached_ = 0;
   BlockId head_id_ = kNoId;
 };
 

@@ -3,8 +3,8 @@
 // probing an open-addressing table straight off the first word is both
 // cheaper than std::unordered_map's bucket machinery and free of per-node
 // allocations. Interned ids are dense uint32s assigned in first-seen order,
-// which is what lets BlockTree store its nodes in a flat arena and replace
-// hash-keyed maps with vector indexing (DESIGN.md §12).
+// which is what lets the world BlockDag and its per-node views keep their
+// per-block state in flat arrays indexed by id (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
@@ -65,15 +65,9 @@ class HashInterner {
   bool Contains(const Hash32& hash) const { return Find(hash) != kNoId; }
   const Hash32& Resolve(Id id) const { return hashes_[id]; }
   std::size_t size() const { return hashes_.size(); }
-  // Open-addressing table capacity; size()/slot_count() is the load factor
-  // (kept under 3/4 by Grow) that the state sampler tracks over a run.
-  std::size_t slot_count() const { return slots_.size(); }
-
-  void Reserve(std::size_t ids) {
-    hashes_.reserve(ids);
-    std::size_t want = kInitialSlots;
-    while (ids * 4 >= want * 3) want <<= 1;
-    if (want > slots_.size()) Rehash(want);
+  // Heap held by the table and the id -> hash vector (capacities).
+  std::size_t allocated_bytes() const {
+    return slots_.capacity() * sizeof(Id) + hashes_.capacity() * sizeof(Hash32);
   }
 
  private:

@@ -50,6 +50,7 @@ void Experiment::Build() {
       config_.mining.total_hashrate * config_.mining.target_interval.seconds());
   genesis.Seal();
   genesis_ = arena_.Adopt(std::move(genesis));
+  dag_.emplace(genesis_);
 
   Rng ids = master.Fork("node-ids");
   Rng placement = master.Fork("placement");
@@ -59,7 +60,7 @@ void Experiment::Build() {
                       const eth::NodeConfig& node_cfg) -> eth::EthNode* {
     const net::HostId host = net_->AddHost({region, bandwidth});
     nodes_.push_back(std::make_unique<eth::EthNode>(
-        sim_, *net_, gossip_ids_, host, p2p::RandomNodeId(ids), genesis_,
+        sim_, *net_, gossip_ids_, *dag_, host, p2p::RandomNodeId(ids),
         node_cfg, node_rngs.Fork(nodes_.size())));
     nodes_.back()->AttachTelemetry(
         telemetry_.get(), static_cast<std::uint32_t>(nodes_.size() - 1));
@@ -229,11 +230,15 @@ void Experiment::RegisterSamplerProbes() {
     return fleet([](const eth::EthNode& n) { return n.tree().orphan_count(); },
                  false);
   });
-  s->AddProbe("chain.interner.load_permille.max", [fleet] {
+  // Chain-state bytes: the per-node views, and the world DAG they share.
+  s->AddProbe("chain.tree.bytes.sum", [fleet] {
     return fleet(
-        [](const eth::EthNode& n) { return n.tree().interner_load_permille(); },
-        true);
+        [](const eth::EthNode& n) { return n.tree().allocated_bytes(); },
+        false);
   });
+  const chain::BlockDag* dag = &*dag_;
+  s->AddProbe("chain.dag.bytes",
+              [dag, i64] { return i64(dag->allocated_bytes()); });
   s->AddProbe("eth.peers.sum", [fleet] {
     return fleet([](const eth::EthNode& n) { return n.peer_count(); }, false);
   });

@@ -5,9 +5,11 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "chain/block_arena.hpp"
+#include "chain/block_dag.hpp"
 #include "chain/interner.hpp"
 #include "core/config.hpp"
 #include "eth/node.hpp"
@@ -81,12 +83,17 @@ class Experiment {
   // before the node/miner/observer layers so the handles they hold stay
   // valid throughout teardown.
   chain::BlockArena arena_;
-  // Dense ids for every tx and block hash gossiped in this world, shared by
-  // all nodes' known caches (one entry, ~40 B, per distinct hash; never
-  // shrinks). Per world, never process-global: SeedSweepRunner runs worlds on
-  // parallel threads. Declared before nodes_ like arena_, so it outlives them.
+  // Dense ids for every tx hash gossiped in this world, shared by all nodes'
+  // known-tx caches (one entry, ~40 B, per distinct hash; never shrinks).
+  // Per world, never process-global: SeedSweepRunner runs worlds on parallel
+  // threads. Declared before nodes_ like arena_, so it outlives them.
   chain::HashInterner gossip_ids_;
   chain::BlockPtr genesis_ = nullptr;
+  // The world block DAG every node's chain view reads: each block's parent,
+  // height and total difficulty, once per world. Its ids also key the
+  // known-block caches. Built with genesis_ in Build(), after arena_ (whose
+  // blocks it points to) and before nodes_.
+  std::optional<chain::BlockDag> dag_;
   // All full nodes: [gateways..., plain..., observers...]. Gateways first so
   // pool p's gateways are contiguous and discoverable by index.
   std::vector<std::unique_ptr<eth::EthNode>> nodes_;

@@ -48,17 +48,17 @@ namespace {
 }  // namespace
 
 EthNode::EthNode(sim::Simulator& simulator, net::Network& network,
-                 chain::HashInterner& hash_ids, net::HostId host,
-                 p2p::NodeId id, chain::BlockPtr genesis, NodeConfig config,
-                 Rng rng)
+                 chain::HashInterner& tx_ids, chain::BlockDag& blocks,
+                 net::HostId host, p2p::NodeId id, NodeConfig config, Rng rng)
     : sim_(simulator),
       net_(network),
-      hash_ids_(hash_ids),
+      tx_ids_(tx_ids),
+      blocks_(blocks),
       host_(host),
       id_(id),
       config_(config),
       rng_(rng),
-      tree_(std::move(genesis)),
+      tree_(blocks),
       seen_txs_(config.seen_txs_cap) {}
 
 net::Region EthNode::region() const { return net_.host(host_).region; }
@@ -212,14 +212,14 @@ EthNode::Peer* EthNode::FindPeer(const EthNode* node) {
 }
 
 void EthNode::MarkKnowsBlock(EthNode* from, const Hash32& hash) {
-  if (Peer* p = FindPeer(from)) p->known_blocks.Insert(hash_ids_.Intern(hash));
+  if (Peer* p = FindPeer(from)) p->known_blocks.Insert(blocks_.Intern(hash));
 }
 
 // --- local actions ---------------------------------------------------------
 
 void EthNode::SubmitTransaction(const chain::Transaction& tx) {
   if (!online_) return;  // a crashed node accepts no local submissions
-  if (!seen_txs_.Insert(hash_ids_.Intern(tx.hash))) return;
+  if (!seen_txs_.Insert(tx_ids_.Intern(tx.hash))) return;
   const auto outcome = pool_.Add(tx);
   if (txprov_ != nullptr) [[unlikely]]
     txprov_->RecordPoolOutcome(host_, tx.hash, sim_.Now().micros(),
@@ -308,7 +308,7 @@ void EthNode::DeliverTransactions(EthNode* from, const TxBatchView& batch) {
     tx_received_count_->Add(batch.count());
   const auto process = [&](const chain::Transaction& tx) {
     if (sink_ != nullptr) sink_->OnTransactionMessage(tx);
-    const FifoIdSet::Id id = hash_ids_.Intern(tx.hash);
+    const FifoIdSet::Id id = tx_ids_.Intern(tx.hash);
     if (peer != nullptr) peer->known_txs.Insert(id);
     if (!seen_txs_.Insert(id)) return;
     // Post-dedupe = this node's first reception of the transaction. The
@@ -499,7 +499,7 @@ void EthNode::PushToSqrtPeers(const chain::BlockPtr& block) {
   for (std::size_t i = relay_order_.size(); i > 1; --i)
     std::swap(relay_order_[i - 1], relay_order_[rng_.NextBounded(i)]);
 
-  const FifoIdSet::Id id = hash_ids_.Intern(block->hash);
+  const FifoIdSet::Id id = blocks_.Intern(block->hash);
   std::size_t pushed = 0;
   for (const std::uint32_t idx : relay_order_) {
     if (pushed == want) break;
@@ -511,7 +511,7 @@ void EthNode::PushToSqrtPeers(const chain::BlockPtr& block) {
 }
 
 void EthNode::AnnounceToOtherPeers(const chain::BlockPtr& block) {
-  const FifoIdSet::Id id = hash_ids_.Intern(block->hash);
+  const FifoIdSet::Id id = blocks_.Intern(block->hash);
   for (Peer& peer : peers_)
     if (peer.known_blocks.Insert(id)) SendAnnouncement(peer, block);
 }
@@ -582,7 +582,7 @@ void EthNode::FlushTxBroadcast() {
   // Intern the batch once; each peer then pays one Insert per tx, which
   // returns false for a tx the peer already knows.
   flush_ids_.clear();
-  for (const auto& tx : queue) flush_ids_.push_back(hash_ids_.Intern(tx.hash));
+  for (const auto& tx : queue) flush_ids_.push_back(tx_ids_.Intern(tx.hash));
 
   for (Peer& peer : peers_) {
     flush_subset_.clear();

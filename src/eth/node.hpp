@@ -4,10 +4,12 @@
 //   - GetBlock      — fetch of an announced-but-unknown block
 //   - Transactions  — batched transaction relay to all peers not known to
 //                     have a transaction
-// Each node owns its private view of the chain (BlockTree) and a TxPool, and
-// tracks per-peer known-block/known-tx caches exactly like Geth's
-// peer.knownBlocks/knownTxs. The caches hold 32-bit ids from one
-// chain::HashInterner shared by every node of a world.
+// Each node owns its own view of the chain (a BlockTree over the world's
+// shared chain::BlockDag, holding only the node's first-seen times, canonical
+// index and orphan buffers) and a TxPool, and tracks per-peer
+// known-block/known-tx caches exactly like Geth's peer.knownBlocks/knownTxs.
+// The caches hold 32-bit ids shared by every node of a world: a block's DAG
+// id, and a tx hash's id in the world's tx chain::HashInterner.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +19,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "chain/block_dag.hpp"
 #include "chain/blocktree.hpp"
 #include "chain/interner.hpp"
 #include "chain/txpool.hpp"
@@ -88,12 +91,14 @@ struct NodeConfig {
 
 class EthNode {
  public:
-  // `hash_ids` interns every gossiped tx and block hash for the known caches.
-  // One interner serves a whole world and must outlive its nodes (the
-  // BlockArena contract); worlds on parallel threads each own their own.
+  // `tx_ids` interns every gossiped tx hash for the known caches, and
+  // `blocks` is the world DAG the node's chain view reads (its ids also key
+  // the known-block caches). Both serve a whole world and must outlive its
+  // nodes (the BlockArena contract); worlds on parallel threads each own
+  // their own.
   EthNode(sim::Simulator& simulator, net::Network& network,
-          chain::HashInterner& hash_ids, net::HostId host, p2p::NodeId id,
-          chain::BlockPtr genesis, NodeConfig config, Rng rng);
+          chain::HashInterner& tx_ids, chain::BlockDag& blocks,
+          net::HostId host, p2p::NodeId id, NodeConfig config, Rng rng);
 
   EthNode(const EthNode&) = delete;
   EthNode& operator=(const EthNode&) = delete;
@@ -235,7 +240,8 @@ class EthNode {
 
   sim::Simulator& sim_;
   net::Network& net_;
-  chain::HashInterner& hash_ids_;
+  chain::HashInterner& tx_ids_;
+  chain::BlockDag& blocks_;
   net::HostId host_;
   p2p::NodeId id_;
   NodeConfig config_;

@@ -78,7 +78,7 @@ TEST(StateSamplerIntegration, RecordsConfiguredCadenceWithBaselineRow) {
   for (const char* name :
        {"sim.queue.pending", "sim.arena.slots", "net.inflight.msgs",
         "net.inflight.bytes", "txpool.pending.sum", "txpool.heads.sum",
-        "chain.blocks.max", "chain.interner.load_permille.max",
+        "chain.blocks.max", "chain.tree.bytes.sum", "chain.dag.bytes",
         "eth.peers.sum", "eth.known.sum", "eth.known.bytes.sum",
         "miner.blocks_found", "miner.gateways.online"})
     EXPECT_NE(log.Find(name), obs::TimeSeriesLog::npos) << name;
@@ -91,6 +91,10 @@ TEST(StateSamplerIntegration, RecordsConfiguredCadenceWithBaselineRow) {
   EXPECT_GT(log.values[blocks].back(), 0);
   EXPECT_EQ(static_cast<std::size_t>(log.values[blocks].back()),
             exp.minted().size());
+
+  // The chain byte probes measure the views and the DAG they share.
+  EXPECT_GT(log.values[log.Find("chain.tree.bytes.sum")].back(), 0);
+  EXPECT_GT(log.values[log.Find("chain.dag.bytes")].back(), 0);
 }
 
 TEST(StateSamplerIntegration, SamplerOffMeansNoSamplerObject) {

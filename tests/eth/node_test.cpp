@@ -56,13 +56,12 @@ struct Cluster {
   explicit Cluster(std::size_t n, NodeConfig cfg = {},
                    net::Region region = net::Region::WesternEurope) {
     net = std::make_unique<net::Network>(simulator, Rng{99}, net::NetworkParams{});
-    genesis = MakeGenesis();
     Rng ids{7};
     for (std::size_t i = 0; i < n; ++i) {
       const net::HostId host = net->AddHost({region, 1e9});
-      nodes.push_back(std::make_unique<EthNode>(simulator, *net, hash_ids,
+      nodes.push_back(std::make_unique<EthNode>(simulator, *net, hash_ids, dag,
                                                 host, p2p::RandomNodeId(ids),
-                                                genesis, cfg, ids.Fork(i)));
+                                                cfg, ids.Fork(i)));
     }
   }
 
@@ -79,7 +78,8 @@ struct Cluster {
 
   sim::Simulator simulator;
   std::unique_ptr<net::Network> net;
-  chain::BlockPtr genesis;
+  chain::BlockPtr genesis = MakeGenesis();
+  chain::BlockDag dag{genesis};
   chain::HashInterner hash_ids;
   std::vector<std::unique_ptr<EthNode>> nodes;
 };
@@ -399,15 +399,15 @@ TEST(EthNodeFaults, GossipSurvivesMessageLoss) {
   lossy.drop_prob = 0.15;
   net::Network network{simulator, Rng{99}, lossy};
   chain::BlockPtr genesis = MakeGenesis();
+  chain::BlockDag dag{genesis};
   Rng ids{7};
   chain::HashInterner hash_ids;
   std::vector<std::unique_ptr<EthNode>> nodes;
   for (int i = 0; i < 16; ++i) {
     const net::HostId host = network.AddHost({net::Region::WesternEurope, 1e9});
     nodes.push_back(std::make_unique<EthNode>(simulator, network, hash_ids,
-                                              host, p2p::RandomNodeId(ids),
-                                              genesis, NodeConfig{},
-                                              ids.Fork(i)));
+                                              dag, host, p2p::RandomNodeId(ids),
+                                              NodeConfig{}, ids.Fork(i)));
   }
   for (std::size_t i = 0; i < nodes.size(); ++i)
     for (std::size_t j = i + 1; j < nodes.size(); ++j)

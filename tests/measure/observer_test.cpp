@@ -37,12 +37,11 @@ chain::BlockPtr Child(const chain::BlockPtr& parent, std::uint64_t mix = 0) {
 struct ObserverFixture : ::testing::Test {
   ObserverFixture() {
     net = std::make_unique<net::Network>(simulator, Rng{1}, net::NetworkParams{});
-    genesis = MakeGenesis();
     for (int i = 0; i < 3; ++i) {
       const net::HostId host = net->AddHost({net::Region::WesternEurope, 1e9});
       Rng ids{static_cast<std::uint64_t>(i) + 10};
       nodes.push_back(std::make_unique<eth::EthNode>(
-          simulator, *net, hash_ids, host, p2p::RandomNodeId(ids), genesis,
+          simulator, *net, hash_ids, dag, host, p2p::RandomNodeId(ids),
           eth::NodeConfig{}, Rng{static_cast<std::uint64_t>(i) + 50}));
     }
     for (std::size_t i = 0; i < 3; ++i)
@@ -52,7 +51,8 @@ struct ObserverFixture : ::testing::Test {
 
   sim::Simulator simulator;
   std::unique_ptr<net::Network> net;
-  chain::BlockPtr genesis;
+  chain::BlockPtr genesis = MakeGenesis();
+  chain::BlockDag dag{genesis};
   chain::HashInterner hash_ids;
   std::vector<std::unique_ptr<eth::EthNode>> nodes;
 };
@@ -143,7 +143,7 @@ TEST_F(ObserverFixture, DistinguishesMessageKinds) {
     const net::HostId host = net->AddHost({net::Region::WesternEurope, 1e9});
     Rng ids{static_cast<std::uint64_t>(i) + 400};
     nodes.push_back(std::make_unique<eth::EthNode>(
-        simulator, *net, hash_ids, host, p2p::RandomNodeId(ids), genesis,
+        simulator, *net, hash_ids, dag, host, p2p::RandomNodeId(ids),
         eth::NodeConfig{}, Rng{static_cast<std::uint64_t>(i) + 900}));
   }
   for (std::size_t i = 0; i < nodes.size(); ++i)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "chain/block_arena.hpp"
@@ -41,11 +42,13 @@ struct MiningFixture : ::testing::Test {
     net = std::make_unique<net::Network>(simulator, Rng{5}, net::NetworkParams{});
   }
 
+  // The world DAG roots at the genesis in place when the first node joins.
   eth::EthNode* AddNode(net::Region region) {
+    if (!dag) dag.emplace(genesis);
     const net::HostId host = net->AddHost({region, 1e9});
     Rng ids{static_cast<std::uint64_t>(nodes.size()) + 1000};
     nodes.push_back(std::make_unique<eth::EthNode>(
-        simulator, *net, hash_ids, host, p2p::RandomNodeId(ids), genesis,
+        simulator, *net, hash_ids, *dag, host, p2p::RandomNodeId(ids),
         eth::NodeConfig{}, Rng{nodes.size() + 77}));
     return nodes.back().get();
   }
@@ -78,6 +81,7 @@ struct MiningFixture : ::testing::Test {
   sim::Simulator simulator;
   std::unique_ptr<net::Network> net;
   chain::BlockPtr genesis;
+  std::optional<chain::BlockDag> dag;
   chain::HashInterner hash_ids;
   std::vector<std::unique_ptr<eth::EthNode>> nodes;
   MiningParams params;

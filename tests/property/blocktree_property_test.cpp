@@ -158,6 +158,95 @@ TEST_P(BlockTreeInvariants, UncleCandidatesAlwaysValid) {
   }
 }
 
+// Views over one shared DAG behave exactly like standalone trees. K views
+// each import the same forked set (two difficulties, so equal-difficulty
+// ties are common; some blocks delivered twice) in their own random order,
+// one block per view per step, so blocks are recorded in the DAG by whichever
+// view reaches them first and orphan parents are reserved by one view and
+// recorded by another. Each view is mirrored by a standalone BlockTree fed
+// the same order, and the two must agree on everything a caller can observe.
+TEST_P(BlockTreeInvariants, SharedViewsMatchStandaloneTrees) {
+  constexpr std::size_t kViews = 6;
+  Rng rng{GetParam() ^ 0x5eed};
+  Block g;
+  g.header.difficulty = 1000;
+  g.Seal();
+  const BlockPtr genesis = Arena().Adopt(std::move(g));
+  std::vector<BlockPtr> blocks;
+  for (std::size_t i = 0; i < 90; ++i) {
+    const std::size_t window = std::min<std::size_t>(blocks.size(), 5);
+    const BlockPtr parent =
+        window == 0 ? genesis
+                    : blocks[blocks.size() - 1 - rng.NextBounded(window)];
+    Block b;
+    b.header.parent_hash = parent->hash;
+    b.header.number = parent->header.number + 1;
+    b.header.difficulty = 1000 + 500 * rng.NextBounded(2);
+    b.header.timestamp = parent->header.timestamp + 1 + rng.NextBounded(20);
+    b.header.miner.bytes[0] = static_cast<std::uint8_t>(rng.NextBounded(3));
+    b.header.mix_seed = rng.Next();
+    b.Seal();
+    blocks.push_back(Arena().Adopt(std::move(b)));
+  }
+
+  BlockDag dag{genesis};
+  std::vector<std::unique_ptr<BlockTree>> views, alone;
+  std::vector<std::vector<BlockPtr>> orders;
+  for (std::size_t v = 0; v < kViews; ++v) {
+    views.push_back(std::make_unique<BlockTree>(dag));
+    alone.push_back(std::make_unique<BlockTree>(genesis));
+    std::vector<BlockPtr> order = blocks;
+    for (int i = 0; i < 15; ++i)
+      order.push_back(blocks[rng.NextBounded(blocks.size())]);
+    for (std::size_t i = order.size(); i > 1; --i)
+      std::swap(order[i - 1], order[rng.NextBounded(i)]);
+    orders.push_back(std::move(order));
+  }
+
+  const auto hashes = [](const std::vector<BlockHeader>& headers) {
+    std::vector<Hash32> out;
+    for (const auto& h : headers) out.push_back(h.Hash());
+    return out;
+  };
+  const auto edits = [](const BlockTree::AddResult& r) {
+    std::vector<std::pair<BlockPtr, bool>> out;
+    for (const auto& e : r.edits) out.emplace_back(e.block, e.adopted);
+    return out;
+  };
+  for (std::size_t step = 0; step < orders[0].size(); ++step) {
+    for (std::size_t v = 0; v < kViews; ++v) {
+      const BlockPtr block = orders[v][step];
+      const TimePoint at = TimePoint::FromMicros(
+          static_cast<std::int64_t>(step * 1000 + rng.NextBounded(1000)));
+      const BlockTree::AddResult shared = views[v]->Add(block, at);
+      const BlockTree::AddResult own = alone[v]->Add(block, at);
+      ASSERT_EQ(shared.outcome, own.outcome) << "view " << v << " step " << step;
+      ASSERT_EQ(edits(shared), edits(own)) << "view " << v << " step " << step;
+      ASSERT_TRUE(views[v]->CheckInvariants()) << "view " << v;
+      ASSERT_EQ(views[v]->head_hash(), alone[v]->head_hash());
+      ASSERT_EQ(views[v]->block_count(), alone[v]->block_count());
+      ASSERT_EQ(views[v]->orphan_count(), alone[v]->orphan_count());
+    }
+  }
+  ASSERT_TRUE(dag.CheckInvariants());
+
+  for (std::size_t v = 0; v < kViews; ++v) {
+    const BlockTree& view = *views[v];
+    const BlockTree& own = *alone[v];
+    EXPECT_EQ(view.CanonicalChain(), own.CanonicalChain());
+    for (const BlockPtr& block : blocks) {
+      const Hash32& h = block->hash;
+      EXPECT_EQ(view.Contains(h), own.Contains(h));
+      EXPECT_EQ(view.FirstSeen(h), own.FirstSeen(h));
+      EXPECT_EQ(view.TotalDifficulty(h), own.TotalDifficulty(h));
+      EXPECT_EQ(view.IsCanonical(h), own.IsCanonical(h));
+      for (const bool forbid : {false, true})
+        EXPECT_EQ(hashes(view.UncleCandidates(h, 2, forbid)),
+                  hashes(own.UncleCandidates(h, 2, forbid)));
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, BlockTreeInvariants,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 42,
                                            1337));

@@ -41,7 +41,6 @@ struct World {
     net::NetworkParams params;
     params.drop_prob = drop;
     network = std::make_unique<net::Network>(simulator, Rng{seed}, params);
-    genesis = MakeGenesis();
     Rng ids{seed ^ 0x1234};
     NodeConfig cfg;
     cfg.max_peers = degree * 3;
@@ -50,8 +49,8 @@ struct World {
       const net::HostId host =
           network->AddHost({net::Region::WesternEurope, 1e9});
       nodes.push_back(std::make_unique<EthNode>(
-          simulator, *network, hash_ids, host, p2p::RandomNodeId(ids),
-          genesis, cfg, ids.Fork(i)));
+          simulator, *network, hash_ids, dag, host, p2p::RandomNodeId(ids),
+          cfg, ids.Fork(i)));
     }
     // Connected topology: ring backbone + random chords up to `degree`.
     for (std::size_t i = 0; i < n; ++i)
@@ -67,7 +66,8 @@ struct World {
 
   sim::Simulator simulator;
   std::unique_ptr<net::Network> network;
-  chain::BlockPtr genesis;
+  chain::BlockPtr genesis = MakeGenesis();
+  chain::BlockDag dag{genesis};
   chain::HashInterner hash_ids;
   std::vector<std::unique_ptr<EthNode>> nodes;
 };

@@ -37,12 +37,11 @@ struct Harness {
   explicit Harness(std::vector<net::Region> regions) {
     net = std::make_unique<net::Network>(simulator, Rng{99},
                                          net::NetworkParams{});
-    genesis = MakeGenesis();
     Rng ids{7};
     for (std::size_t i = 0; i < regions.size(); ++i) {
       const net::HostId host = net->AddHost({regions[i], 1e9});
       nodes.push_back(std::make_unique<eth::EthNode>(
-          simulator, *net, hash_ids, host, p2p::RandomNodeId(ids), genesis,
+          simulator, *net, hash_ids, dag, host, p2p::RandomNodeId(ids),
           eth::NodeConfig{}, ids.Fork(i)));
     }
   }
@@ -65,7 +64,8 @@ struct Harness {
 
   sim::Simulator simulator;
   std::unique_ptr<net::Network> net;
-  chain::BlockPtr genesis;
+  chain::BlockPtr genesis = MakeGenesis();
+  chain::BlockDag dag{genesis};
   chain::HashInterner hash_ids;
   std::vector<std::unique_ptr<eth::EthNode>> nodes;
   std::unique_ptr<WorkloadGenerator> generator;

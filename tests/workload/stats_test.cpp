@@ -40,13 +40,12 @@ struct Harness {
   explicit Harness(std::size_t frontends) {
     net = std::make_unique<net::Network>(simulator, Rng{99},
                                          net::NetworkParams{});
-    genesis = MakeGenesis();
     Rng ids{7};
     for (std::size_t i = 0; i < frontends; ++i) {
       const net::HostId host =
           net->AddHost({net::Region::WesternEurope, 1e9});
       nodes.push_back(std::make_unique<eth::EthNode>(
-          simulator, *net, hash_ids, host, p2p::RandomNodeId(ids), genesis,
+          simulator, *net, hash_ids, dag, host, p2p::RandomNodeId(ids),
           eth::NodeConfig{}, ids.Fork(i)));
     }
   }
@@ -64,7 +63,8 @@ struct Harness {
 
   sim::Simulator simulator;
   std::unique_ptr<net::Network> net;
-  chain::BlockPtr genesis;
+  chain::BlockPtr genesis = MakeGenesis();
+  chain::BlockDag dag{genesis};
   chain::HashInterner hash_ids;
   std::vector<std::unique_ptr<eth::EthNode>> nodes;
   std::unique_ptr<WorkloadGenerator> generator;
