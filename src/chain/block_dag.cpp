@@ -11,7 +11,6 @@ BlockDag::BlockDag(BlockPtr genesis) {
   entries_[id] = {genesis, genesis->header.difficulty, genesis->header.number,
                   kNoId};
   by_height_.push_back({id});
-  recorded_ = 1;
 }
 
 BlockDag::BlockId BlockDag::Intern(const Hash32& hash) {
@@ -31,7 +30,6 @@ BlockDag::BlockId BlockDag::Record(BlockPtr block, BlockId parent) {
   const std::size_t index = block->header.number - genesis_number();
   if (index >= by_height_.size()) by_height_.resize(index + 1);
   by_height_[index].push_back(id);
-  ++recorded_;
   return id;
 }
 
@@ -88,7 +86,6 @@ bool BlockDag::CheckInvariants() const {
     ETHSIM_DAG_CHECK(entry.total_difficulty ==
                      parent.total_difficulty + entry.block->header.difficulty);
   }
-  ETHSIM_DAG_CHECK(recorded_seen == recorded_);
 
   // Each recorded id sits exactly once in its own height's list.
   std::size_t listed = 0;
@@ -102,7 +99,7 @@ bool BlockDag::CheckInvariants() const {
       ++listed;
     }
   }
-  ETHSIM_DAG_CHECK(listed == recorded_);
+  ETHSIM_DAG_CHECK(listed == recorded_seen);
 #undef ETHSIM_DAG_CHECK
   return true;
 }

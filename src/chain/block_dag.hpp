@@ -60,7 +60,6 @@ class BlockDag {
   std::uint64_t genesis_number() const { return entries_[0].number; }
   // Ids handed out (recorded and reserved); every id is below this.
   std::size_t size() const { return entries_.size(); }
-  std::size_t recorded_count() const { return recorded_; }
   // Heap held by the index, the entries and the height lists (capacities).
   std::size_t allocated_bytes() const;
 
@@ -83,7 +82,6 @@ class BlockDag {
   std::vector<Entry> entries_;  // indexed by id
   // Indexed by number - genesis number.
   std::vector<std::vector<BlockId>> by_height_;
-  std::size_t recorded_ = 0;
 };
 
 }  // namespace ethsim::chain
