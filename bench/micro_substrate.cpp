@@ -220,8 +220,8 @@ void BM_BlockTreeReorgChurn(benchmark::State& state) {
 BENCHMARK(BM_BlockTreeReorgChurn)->Arg(400);
 
 // A world's chain state: range(0) views over one BlockDag, each importing
-// the same forked 200-block set in its own shuffled order, with one block in
-// ten delivered twice, so every view sees orphans, duplicates and
+// the same forked 200-block set plus 20 repeat deliveries of random blocks in
+// its own shuffled order, so every view sees orphans, duplicates and
 // equal-difficulty ties. The DAG and the views are rebuilt every iteration.
 // items/sec = (view, block) imports/sec; bytes_per_view_block is the views'
 // own heap per attached block at the end (the DAG is counted once per world
