@@ -4,8 +4,9 @@
 //
 //   $ ./quickstart [minutes] [seed]
 //
-// Telemetry (optional, zero perturbation — same blocks either way):
-//   $ ETHSIM_METRICS=1 ETHSIM_TRACE=block,mine ETHSIM_PROFILE=1 \
+// Telemetry (optional, zero perturbation — same blocks either way), one
+// command line:
+//   $ ETHSIM_METRICS=1 ETHSIM_TRACE=block,mine ETHSIM_PROFILE=1
 //     ETHSIM_PROVENANCE=1 ETHSIM_TELEMETRY_DIR=out ./quickstart
 // writes out/metrics.jsonl, out/trace.json (load it in
 // https://ui.perfetto.dev), out/profile.jsonl, out/provenance.bin (query it

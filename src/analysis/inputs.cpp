@@ -10,12 +10,4 @@ std::unordered_map<Address, std::size_t> CoinbaseIndex(
   return index;
 }
 
-std::unordered_map<Hash32, const miner::MintRecord*> MintIndex(
-    const std::vector<miner::MintRecord>& minted) {
-  std::unordered_map<Hash32, const miner::MintRecord*> index;
-  index.reserve(minted.size());
-  for (const auto& record : minted) index.emplace(record.block->hash, &record);
-  return index;
-}
-
 }  // namespace ethsim::analysis

@@ -27,8 +27,4 @@ struct StudyInputs {
 std::unordered_map<Address, std::size_t> CoinbaseIndex(
     const std::vector<miner::PoolSpec>& pools);
 
-// Blocks per hash from the mint catalog.
-std::unordered_map<Hash32, const miner::MintRecord*> MintIndex(
-    const std::vector<miner::MintRecord>& minted);
-
 }  // namespace ethsim::analysis

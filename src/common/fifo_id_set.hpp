@@ -5,13 +5,15 @@
 // bucket overhead.
 //
 // Layout: one allocation holding a ring of ids in insertion order, followed by
-// an open-addressed index of the same ids (linear probing, kept at most half
-// full, backward-shift delete). The ring grows by doubling until it reaches
-// the capacity; after that every new id overwrites the oldest slot and that
-// id leaves the index. At a power-of-two capacity a full set costs 12 bytes
-// per entry (4 ring + 8 index); an empty one allocates nothing. Nothing
-// iterates the set, so the order ids were assigned in never becomes
-// observable.
+// an open-addressed index of 16-bit ring positions (linear probing, kept at
+// most half full, backward-shift delete). A probe hashes the id and compares
+// ring[position] at each slot it visits. The ring grows by doubling until it
+// reaches the capacity; after that every new id overwrites the oldest slot,
+// whose position leaves the index first. At a power-of-two capacity a full
+// set costs 8 bytes per entry (4 ring + 2 x 2 index); an empty one allocates
+// nothing. Capacities stop at 65,535, so every position fits 16 bits and
+// 0xFFFF is free to mark an empty slot. Nothing iterates the set, so the
+// order ids were assigned in never becomes observable.
 //
 // The index scatters ids by Fibonacci hashing. Interned ids are dense and a
 // cache holds a sliding window of recent ones, so an identity hash would lay
@@ -23,7 +25,9 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <new>
 #include <utility>
 
 namespace ethsim {
@@ -31,17 +35,19 @@ namespace ethsim {
 class FifoIdSet {
  public:
   using Id = std::uint32_t;
-  // The interner's kNoId: never a live id, so it marks empty index slots.
-  static constexpr Id kEmpty = 0xFFFFFFFFu;
+  // The largest capacity: ring positions 0..65,534 plus the empty mark.
+  static constexpr std::size_t kMaxCapacity = 0xFFFF;
 
   explicit FifoIdSet(std::size_t capacity) noexcept
       : capacity_(static_cast<std::uint32_t>(
-            std::min<std::size_t>(capacity, kMaxCapacity))) {}
+            std::min(capacity, kMaxCapacity))) {
+    assert(capacity <= kMaxCapacity);
+  }
 
   // A moved-from set is empty and keeps its capacity.
   FifoIdSet(FifoIdSet&& other) noexcept { *this = std::move(other); }
   FifoIdSet& operator=(FifoIdSet&& other) noexcept {
-    words_ = std::move(other.words_);
+    bytes_ = std::move(other.bytes_);
     capacity_ = other.capacity_;
     size_ = std::exchange(other.size_, 0);
     head_ = std::exchange(other.head_, 0);
@@ -54,29 +60,30 @@ class FifoIdSet {
   // Evicts the oldest entry when over capacity, so capacity 0 holds nothing
   // and every insert into it succeeds.
   bool Insert(Id id) {
-    assert(id != kEmpty);
     if (capacity_ == 0) return true;
     if (Contains(id)) return false;
-    Id* ring = words_.get();
+    std::uint32_t pos = head_;
     if (size_ < capacity_) {
-      if (size_ == ring_slots_) ring = Grow();
-      ring[size_++] = id;
+      if (size_ == ring_slots_) Grow();
+      pos = size_++;
     } else {
-      Erase(ring[head_]);
-      ring[head_] = id;
+      Erase(pos);
       if (++head_ == capacity_) head_ = 0;
     }
-    Place(id);
+    Ring()[pos] = id;
+    Place(pos);
     return true;
   }
 
   bool Contains(Id id) const {
     if (size_ == 0) return false;
-    const Id* index = words_.get() + ring_slots_;
+    const Id* ring = Ring();
+    const Pos* index = Index();
     const std::uint32_t mask = IndexMask();
     for (std::uint32_t slot = Home(id);; slot = (slot + 1) & mask) {
-      if (index[slot] == id) return true;
-      if (index[slot] == kEmpty) return false;
+      const Pos pos = index[slot];
+      if (pos == kNoPos) return false;
+      if (ring[pos] == id) return true;
     }
   }
 
@@ -84,67 +91,77 @@ class FifoIdSet {
   std::size_t capacity() const { return capacity_; }
   // Heap bytes held by the ring and the index.
   std::size_t allocated_bytes() const {
-    return words_ ? (ring_slots_ + IndexMask() + std::size_t{1}) * sizeof(Id)
+    return bytes_ ? ring_slots_ * sizeof(Id) + (IndexMask() + 1) * sizeof(Pos)
                   : 0;
   }
 
  private:
-  // Far above any cache cap; keeps every count and slot index in 32 bits.
-  static constexpr std::size_t kMaxCapacity = std::size_t{1} << 30;
+  using Pos = std::uint16_t;  // a ring position
+  static constexpr Pos kNoPos = 0xFFFF;
   static constexpr std::uint32_t kMinRingSlots = 4;
 
+  // Allocating the byte array implicitly creates the ring's and the index's
+  // integers in it (C++20); std::launder yields pointers to them. Only
+  // called once the array exists.
+  Id* Ring() const { return std::launder(reinterpret_cast<Id*>(bytes_.get())); }
+  Pos* Index() const {
+    return std::launder(
+        reinterpret_cast<Pos*>(bytes_.get() + ring_slots_ * sizeof(Id)));
+  }
   std::uint32_t IndexMask() const { return (1u << index_bits_) - 1; }
   std::uint32_t Home(Id id) const {
     return (id * 0x9E3779B9u) >> (32 - index_bits_);
   }
 
-  // Puts an absent id into the index.
-  void Place(Id id) {
-    Id* index = words_.get() + ring_slots_;
+  // Puts a ring position whose id is absent from the index into it.
+  void Place(std::uint32_t pos) {
+    Pos* index = Index();
     const std::uint32_t mask = IndexMask();
-    std::uint32_t slot = Home(id);
-    while (index[slot] != kEmpty) slot = (slot + 1) & mask;
-    index[slot] = id;
+    std::uint32_t slot = Home(Ring()[pos]);
+    while (index[slot] != kNoPos) slot = (slot + 1) & mask;
+    index[slot] = static_cast<Pos>(pos);
   }
 
-  // Removes a present id from the index, pulling later members of its probe
-  // run back into the hole so no lookup stops early at it.
-  void Erase(Id id) {
-    Id* index = words_.get() + ring_slots_;
+  // Removes an indexed ring position, pulling later members of its probe run
+  // back into the hole so no lookup stops early at it.
+  void Erase(std::uint32_t pos) {
+    const Id* ring = Ring();
+    Pos* index = Index();
     const std::uint32_t mask = IndexMask();
-    std::uint32_t hole = Home(id);
-    while (index[hole] != id) hole = (hole + 1) & mask;
-    for (std::uint32_t next = (hole + 1) & mask; index[next] != kEmpty;
+    std::uint32_t hole = Home(ring[pos]);
+    while (index[hole] != pos) hole = (hole + 1) & mask;
+    for (std::uint32_t next = (hole + 1) & mask; index[next] != kNoPos;
          next = (next + 1) & mask) {
       // The entry may move back iff the hole lies between its home and it.
-      if (((next - Home(index[next])) & mask) >= ((next - hole) & mask)) {
+      if (((next - Home(ring[index[next]])) & mask) >= ((next - hole) & mask)) {
         index[hole] = index[next];
         hole = next;
       }
     }
-    index[hole] = kEmpty;
+    index[hole] = kNoPos;
   }
 
   // Doubles the ring (up to the capacity) and rebuilds the index at the
   // smallest power of two >= 2x the ring. Only called before the ring has
   // wrapped, so its live entries are the prefix [0, size_).
-  Id* Grow() {
+  void Grow() {
     const std::uint32_t ring_slots =
         std::min(capacity_, std::max(kMinRingSlots, ring_slots_ * 2));
     std::uint32_t bits = 1;
-    while ((std::uint64_t{1} << bits) < std::uint64_t{2} * ring_slots) ++bits;
+    while ((1u << bits) < 2 * ring_slots) ++bits;
     const std::size_t index_slots = std::size_t{1} << bits;
-    std::unique_ptr<Id[]> words(new Id[ring_slots + index_slots]);
-    std::copy_n(words_.get(), size_, words.get());
-    std::fill_n(words.get() + ring_slots, index_slots, kEmpty);
-    words_ = std::move(words);
+    std::unique_ptr<std::byte[]> bytes(
+        new std::byte[ring_slots * sizeof(Id) + index_slots * sizeof(Pos)]);
+    if (size_ > 0) std::memcpy(bytes.get(), bytes_.get(), size_ * sizeof(Id));
+    bytes_ = std::move(bytes);
     ring_slots_ = ring_slots;
     index_bits_ = bits;
-    for (std::uint32_t i = 0; i < size_; ++i) Place(words_[i]);
-    return words_.get();
+    std::fill_n(Index(), index_slots, kNoPos);
+    for (std::uint32_t pos = 0; pos < size_; ++pos) Place(pos);
   }
 
-  std::unique_ptr<Id[]> words_;  // ring_slots_ ring ids, then the index
+  // ring_slots_ ids, then 1 << index_bits_ positions
+  std::unique_ptr<std::byte[]> bytes_;
   std::uint32_t capacity_ = 0;
   std::uint32_t size_ = 0;
   std::uint32_t head_ = 0;  // oldest ring slot once the ring is full

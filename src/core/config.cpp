@@ -1,12 +1,16 @@
 #include "core/config.hpp"
 
+#include <span>
+
+#include "common/fifo_id_set.hpp"
+
 namespace ethsim::core {
 
 namespace {
 
 // Each weight >= 0 (NaN fails) and a positive total: what AliasSampler
 // needs.
-bool UsableWeights(const std::vector<double>& weights) {
+bool UsableWeights(std::span<const double> weights) {
   double total = 0;
   for (const double w : weights) {
     if (!(w >= 0)) return false;
@@ -34,6 +38,20 @@ std::string ExperimentConfig::Validate() const {
     return "net.drop_prob must be in [0, 1]";
   if (net_params.slow_path_prob < 0 || net_params.slow_path_prob > 1)
     return "net.slow_path_prob must be in [0, 1]";
+  // A FifoIdSet (known and seen caches) holds at most 65,535 ids.
+  for (const auto& [name, config] :
+       {std::pair{"node_config", &node_config},
+        std::pair{"observer_config", &observer_config},
+        std::pair{"gateway_config", &gateway_config}}) {
+    for (const auto& [field, cap] :
+         {std::pair{"known_txs_cap", config->known_txs_cap},
+          std::pair{"known_blocks_cap", config->known_blocks_cap},
+          std::pair{"seen_txs_cap", config->seen_txs_cap}}) {
+      if (cap > FifoIdSet::kMaxCapacity)
+        return std::string(name) + "." + field + " must be <= " +
+               std::to_string(FifoIdSet::kMaxCapacity);
+    }
+  }
   // Alias tables (block winner, release gateway, node region) sample from
   // NaN unless their weights pass UsableWeights.
   if (pools.empty()) return "pools must not be empty";
@@ -53,8 +71,7 @@ std::string ExperimentConfig::Validate() const {
   }
   if (!UsableWeights(shares))
     return "pools: hashrate_share must be >= 0 and not all zero";
-  if (!UsableWeights(
-          {node_region_weights.begin(), node_region_weights.end()}))
+  if (!UsableWeights(node_region_weights))
     return "node_region_weights must be >= 0 and not all zero";
   if (nodes < 2) return "the overlay needs at least 2 nodes";
   if (!workload_plan.empty()) {

@@ -250,6 +250,13 @@ void Experiment::RegisterSamplerProbes() {
     return fleet(
         [](const eth::EthNode& n) { return n.known_cache_bytes(); }, false);
   });
+  const auto* observers = &observers_;
+  s->AddProbe("measure.records.bytes", [observers, i64] {
+    std::size_t total = 0;
+    for (const auto& observer : *observers)
+      total += observer->allocated_bytes();
+    return i64(total);
+  });
   s->AddProbe("eth.offline.nodes", [fleet] {
     return fleet([](const eth::EthNode& n) { return n.online() ? 0 : 1; },
                  false);

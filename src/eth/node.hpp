@@ -78,7 +78,8 @@ struct NodeConfig {
   // Per-peer known caches only need to span the propagation window (relay
   // dedupe happens within seconds); small caps keep memory flat on
   // day-scale simulations with thousands of peer links. A full cache costs
-  // 12 B per entry at these power-of-two caps (common/fifo_id_set.hpp).
+  // 8 B per entry at these power-of-two caps, and no cap may exceed 65,535
+  // (common/fifo_id_set.hpp; ExperimentConfig::Validate rejects more).
   std::size_t known_txs_cap = 1024;
   std::size_t known_blocks_cap = 256;
   // Node-level seen-tx horizon (admission dedupe) can be longer.

@@ -71,8 +71,10 @@ VantageLog SnapshotObserver(const Observer& observer) {
   log.name = observer.name();
   log.region = observer.region();
   log.clock_offset = observer.clock_offset();
-  log.block_arrivals = observer.block_arrivals();
-  log.tx_arrivals = observer.tx_arrivals();
+  const auto blocks = observer.block_arrivals();
+  const auto txs = observer.tx_arrivals();
+  log.block_arrivals.assign(blocks.begin(), blocks.end());
+  log.tx_arrivals.assign(txs.begin(), txs.end());
   log.imports = observer.imports();
   return log;
 }

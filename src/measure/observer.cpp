@@ -29,18 +29,22 @@ void Observer::Attach(eth::EthNode& node) {
   node.set_sink(this);
 }
 
+// A key seen before already put its hash into the first-arrival map, so only
+// a new key probes it.
 void Observer::OnBlockMessage(BlockMsgKind kind, const Hash32& hash,
                               std::uint64_t number, const chain::Block* full) {
   (void)full;
   const TimePoint now = LocalNow();
-  blocks_.push_back(BlockArrival{hash, number, kind, now});
-  first_block_.try_emplace(hash, now);
+  const auto [key, added] = block_keys_.Intern({hash, number});
+  blocks_.push_back({key, kind, now.micros()});
+  if (added) first_block_.try_emplace(hash, now);
 }
 
 void Observer::OnTransactionMessage(const chain::Transaction& tx) {
   const TimePoint now = LocalNow();
-  txs_.push_back(TxArrival{tx.hash, tx.sender, tx.nonce, now});
-  first_tx_.try_emplace(tx.hash, now);
+  const auto [key, added] = tx_keys_.Intern({tx.hash, tx.sender, tx.nonce});
+  txs_.push_back({key, BlockMsgKind{}, now.micros()});
+  if (added) first_tx_.try_emplace(tx.hash, now);
 }
 
 void Observer::OnBlockImported(const chain::BlockPtr& block, bool new_head) {
@@ -49,14 +53,17 @@ void Observer::OnBlockImported(const chain::BlockPtr& block, bool new_head) {
 }
 
 void Observer::IngestBlockArrival(const BlockArrival& arrival) {
-  blocks_.push_back(arrival);
+  blocks_.push_back({block_keys_.Intern({arrival.hash, arrival.number}).first,
+                     arrival.kind, arrival.local_time.micros()});
   auto [it, inserted] = first_block_.try_emplace(arrival.hash, arrival.local_time);
   if (!inserted && arrival.local_time < it->second)
     it->second = arrival.local_time;
 }
 
 void Observer::IngestTxArrival(const TxArrival& arrival) {
-  txs_.push_back(arrival);
+  txs_.push_back(
+      {tx_keys_.Intern({arrival.hash, arrival.sender, arrival.nonce}).first,
+       BlockMsgKind{}, arrival.local_time.micros()});
   auto [it, inserted] = first_tx_.try_emplace(arrival.hash, arrival.local_time);
   if (!inserted && arrival.local_time < it->second)
     it->second = arrival.local_time;
@@ -66,19 +73,25 @@ void Observer::IngestImport(const ImportEvent& event) {
   imports_.push_back(event);
 }
 
+std::size_t Observer::allocated_bytes() const {
+  return (blocks_.capacity() + txs_.capacity()) * sizeof(ArrivalRecord) +
+         imports_.capacity() * sizeof(ImportEvent) +
+         block_keys_.allocated_bytes() + tx_keys_.allocated_bytes();
+}
+
 Hash32 Observer::Digest() const {
   Keccak256 hasher;
   hasher.Update(name_);
   UpdateU64(hasher, static_cast<std::uint64_t>(clock_offset_.micros()));
   UpdateU64(hasher, blocks_.size());
-  for (const BlockArrival& b : blocks_) {
+  for (const BlockArrival b : block_arrivals()) {
     hasher.Update(std::span<const std::uint8_t>(b.hash.data(), Hash32::size()));
     UpdateU64(hasher, b.number);
     UpdateU64(hasher, static_cast<std::uint64_t>(b.kind));
     UpdateU64(hasher, static_cast<std::uint64_t>(b.local_time.micros()));
   }
   UpdateU64(hasher, txs_.size());
-  for (const TxArrival& t : txs_) {
+  for (const TxArrival t : tx_arrivals()) {
     hasher.Update(std::span<const std::uint8_t>(t.hash.data(), Hash32::size()));
     UpdateU64(hasher, t.nonce);
     UpdateU64(hasher, static_cast<std::uint64_t>(t.local_time.micros()));

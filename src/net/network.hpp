@@ -252,9 +252,6 @@ class ClockModel {
   // Samples a host's clock offset (signed).
   Duration SampleOffset();
 
-  // The error-bar half-width the paper uses when reporting (10 ms).
-  static Duration TypicalError() { return Duration::Millis(10); }
-
  private:
   Rng rng_;
 };

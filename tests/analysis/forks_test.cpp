@@ -102,7 +102,7 @@ TEST_F(ForkFixture, LengthTwoForkCountedOnceAndNeverRecognized) {
   const chain::BlockPtr a1 = Add(genesis, Miner(1), 1);
   const chain::BlockPtr a2 = Add(a1, Miner(1), 1);
   const chain::BlockPtr b1 = Add(genesis, Miner(2), 2);
-  const chain::BlockPtr b2 = Add(b1, Miner(2), 2);  // fork extends to len 2
+  Add(b1, Miner(2), 2);  // fork extends to len 2
   Add(a2, Miner(1), 0, {b1->header});  // b1 referenced; b2 cannot be
 
   const auto census = ComputeForkCensus(Inputs());

@@ -71,12 +71,12 @@ TEST(FifoIdSet, PresentInsertDoesNotRefreshAge) {
   EXPECT_TRUE(set.Contains(3));
 }
 
-TEST(FifoIdSet, EmptyIsFreeAndFullCostsTwelveBytesPerEntry) {
+TEST(FifoIdSet, EmptyIsFreeAndFullCostsEightBytesPerEntry) {
   FifoIdSet set{1024};
   EXPECT_EQ(set.allocated_bytes(), 0u);
   for (FifoIdSet::Id id = 0; id < 5000; ++id) set.Insert(id);
   EXPECT_EQ(set.size(), 1024u);
-  EXPECT_EQ(set.allocated_bytes(), 1024u * 12);
+  EXPECT_EQ(set.allocated_bytes(), 1024u * 8);
 }
 
 TEST(FifoIdSet, MoveTransfersEntriesAndEmptiesSource) {
@@ -165,6 +165,33 @@ TEST(FifoIdSet, MatchesDequeSetModel) {
       }
     }
   }
+}
+
+// At the largest capacity the ring wraps more than once, so the index holds
+// position 65,534, the one next to its empty mark, through inserts, probes
+// and evictions.
+TEST(FifoIdSet, MaxCapacityWrapsTheRingAgainstTheModel) {
+  constexpr std::size_t cap = FifoIdSet::kMaxCapacity;
+  constexpr std::uint32_t range = 4 * cap;
+  Rng rng{65535};
+  FifoIdSet set{cap};
+  Model model{cap};
+  std::size_t inserted = 0;
+  for (int op = 0; op < 400'000; ++op) {
+    const auto id = static_cast<FifoIdSet::Id>(rng.NextBounded(range));
+    if (rng.NextBounded(4) == 0) {
+      ASSERT_EQ(set.Contains(id), model.Contains(id)) << "op " << op;
+    } else {
+      const bool added = model.Insert(id);
+      ASSERT_EQ(set.Insert(id), added) << "op " << op;
+      inserted += added;
+    }
+  }
+  ASSERT_GT(inserted, 2 * cap);
+  EXPECT_EQ(set.size(), cap);
+  EXPECT_EQ(set.allocated_bytes(), cap * 4 + (std::size_t{1} << 17) * 2);
+  for (std::uint32_t v = 0; v < range; ++v)
+    ASSERT_EQ(set.Contains(v), model.Contains(v)) << "id " << v;
 }
 
 }  // namespace

@@ -80,7 +80,8 @@ TEST(StateSamplerIntegration, RecordsConfiguredCadenceWithBaselineRow) {
         "net.inflight.bytes", "txpool.pending.sum", "txpool.heads.sum",
         "chain.blocks.max", "chain.tree.bytes.sum", "chain.dag.bytes",
         "eth.peers.sum", "eth.known.sum", "eth.known.bytes.sum",
-        "miner.blocks_found", "miner.gateways.online"})
+        "measure.records.bytes", "miner.blocks_found",
+        "miner.gateways.online"})
     EXPECT_NE(log.Find(name), obs::TimeSeriesLog::npos) << name;
   // No fault controller configured -> no fault series (series table is a
   // function of config, so the artifact shape stays seed-independent).
@@ -95,6 +96,16 @@ TEST(StateSamplerIntegration, RecordsConfiguredCadenceWithBaselineRow) {
   // The chain byte probes measure the views and the DAG they share.
   EXPECT_GT(log.values[log.Find("chain.tree.bytes.sum")].back(), 0);
   EXPECT_GT(log.values[log.Find("chain.dag.bytes")].back(), 0);
+  // The vantage logs only grow, so the last sample (taken at the end time,
+  // maybe before that instant's last arrivals) is positive and at most what
+  // the vantages hold once the run is over.
+  std::int64_t logged = 0;
+  for (const auto& observer : exp.observers())
+    logged += static_cast<std::int64_t>(observer->allocated_bytes());
+  const std::int64_t sampled =
+      log.values[log.Find("measure.records.bytes")].back();
+  EXPECT_GT(sampled, 0);
+  EXPECT_LE(sampled, logged);
 }
 
 TEST(StateSamplerIntegration, SamplerOffMeansNoSamplerObject) {
@@ -247,10 +258,11 @@ TEST_F(SamplerArtifactFixture, PartitionWindowShowsUpInSeriesAndManifest) {
     const std::int64_t t = log.t_us[i];
     const bool inside = t > start.micros() && t < end_us;
     const bool outside = t < start.micros() || t > end_us;
-    if (inside)
+    if (inside) {
       EXPECT_EQ(log.values[active][i], 1) << "t_us " << t;
-    else if (outside)
+    } else if (outside) {
       EXPECT_EQ(log.values[active][i], 0) << "t_us " << t;
+    }
   }
 
   std::string error;

@@ -109,8 +109,11 @@ TEST_F(ObserverFixture, FirstArrivalKeepsEarliestAcrossRedundantCopies) {
   EXPECT_GE(receptions, 2u);
   // ...but the first-arrival index keeps the minimum.
   const TimePoint first = obs.first_block_arrival().at(b1->hash);
-  for (const auto& arrival : obs.block_arrivals())
-    if (arrival.hash == b1->hash) EXPECT_GE(arrival.local_time, first);
+  for (const auto& arrival : obs.block_arrivals()) {
+    if (arrival.hash == b1->hash) {
+      EXPECT_GE(arrival.local_time, first);
+    }
+  }
 }
 
 TEST_F(ObserverFixture, RecordsTransactionsAndImports) {
@@ -167,6 +170,57 @@ TEST_F(ObserverFixture, DistinguishesMessageKinds) {
   }
   EXPECT_TRUE(saw_full);
   EXPECT_TRUE(saw_announcement);
+}
+
+static_assert(sizeof(ArrivalRecord) == 16);
+
+// A replayed log may hold what no live run logs: one block hash under two
+// numbers, one tx hash under two (sender, nonce) pairs. Each record must read
+// back as ingested, and the digest must be the one the full records give.
+TEST(ObserverReplay, RecordsSharingAHashReadBackAsIngested) {
+  using Kind = eth::MessageSink::BlockMsgKind;
+  sim::Simulator simulator;
+  Observer obs{"replay", net::Region::EasternAsia, simulator, 7_ms};
+  Hash32 hash;
+  hash.bytes[0] = 0xab;
+  hash.bytes[31] = 0x01;
+  Address alice, bob;
+  alice.bytes[0] = 1;
+  bob.bytes[0] = 2;
+  const auto at = [](std::int64_t us) { return TimePoint::FromMicros(us); };
+  const std::vector<BlockArrival> blocks = {
+      {hash, 10, Kind::kFullBlock, at(500)},
+      {hash, 11, Kind::kAnnouncement, at(300)},
+      {hash, 10, Kind::kFetched, at(900)},
+  };
+  const std::vector<TxArrival> txs = {
+      {hash, alice, 3, at(400)},
+      {hash, bob, 4, at(200)},
+      {hash, alice, 3, at(250)},
+  };
+  for (const BlockArrival& b : blocks) obs.IngestBlockArrival(b);
+  for (const TxArrival& t : txs) obs.IngestTxArrival(t);
+
+  ASSERT_EQ(obs.block_arrivals().size(), blocks.size());
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const BlockArrival got = obs.block_arrivals()[i];
+    EXPECT_EQ(got.hash, blocks[i].hash) << i;
+    EXPECT_EQ(got.number, blocks[i].number) << i;
+    EXPECT_EQ(got.kind, blocks[i].kind) << i;
+    EXPECT_EQ(got.local_time, blocks[i].local_time) << i;
+  }
+  ASSERT_EQ(obs.tx_arrivals().size(), txs.size());
+  for (std::size_t i = 0; i < txs.size(); ++i) {
+    const TxArrival got = obs.tx_arrivals()[i];
+    EXPECT_EQ(got.hash, txs[i].hash) << i;
+    EXPECT_EQ(got.sender, txs[i].sender) << i;
+    EXPECT_EQ(got.nonce, txs[i].nonce) << i;
+    EXPECT_EQ(got.local_time, txs[i].local_time) << i;
+  }
+  EXPECT_EQ(obs.first_block_arrival().at(hash), at(300));
+  EXPECT_EQ(obs.first_tx_arrival().at(hash), at(200));
+  EXPECT_EQ(ToHex(obs.Digest()),
+            "9cad312f003210e82697c9c7e54081a7eabfa5e1d16d46a83dae964f6b948d88");
 }
 
 }  // namespace

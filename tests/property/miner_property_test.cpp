@@ -49,7 +49,9 @@ TEST_P(MinerInvariants, MintRecordsAreInternallyConsistent) {
     EXPECT_EQ(record.block->header.miner,
               exp.config().pools[record.pool_index].coinbase);
     // Deliberate-empty records really are empty.
-    if (record.deliberate_empty) EXPECT_TRUE(record.block->IsEmpty());
+    if (record.deliberate_empty) {
+      EXPECT_TRUE(record.block->IsEmpty());
+    }
     // Fork siblings pair with a same-pool, same-height primary, and the
     // same-txset flag agrees with the tx-root comparison.
     if (record.is_fork_sibling) {

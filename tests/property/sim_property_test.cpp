@@ -35,8 +35,9 @@ TEST_P(SimulatorOrdering, ExecutionIsTimeMonotoneWithStableTies) {
   ASSERT_EQ(executed.size(), 2000u);
   for (std::size_t i = 1; i < executed.size(); ++i) {
     EXPECT_GE(executed[i].when_us, executed[i - 1].when_us);
-    if (executed[i].when_us == executed[i - 1].when_us)
+    if (executed[i].when_us == executed[i - 1].when_us) {
       EXPECT_GT(executed[i].seq, executed[i - 1].seq) << "tie not stable";
+    }
   }
 }
 

@@ -174,6 +174,37 @@ TEST(ConfigValidate, RejectsFewerThanTwoNodes) {
   EXPECT_EQ(cfg.Validate(), "");
 }
 
+// A FifoIdSet holds at most 65,535 ids. Each cap is checked in all three node
+// configs, and the message names the config and the field.
+void ExpectCapLimited(std::size_t eth::NodeConfig::*cap,
+                      const std::string& field) {
+  using Config = core::ExperimentConfig;
+  const std::pair<const char*, eth::NodeConfig Config::*> configs[] = {
+      {"node_config", &Config::node_config},
+      {"observer_config", &Config::observer_config},
+      {"gateway_config", &Config::gateway_config}};
+  for (const auto& [name, config] : configs) {
+    core::ExperimentConfig cfg = core::presets::SmallStudy(30);
+    (cfg.*config).*cap = 65'535;
+    EXPECT_EQ(cfg.Validate(), "") << name;
+    (cfg.*config).*cap = 65'536;
+    EXPECT_EQ(cfg.Validate(),
+              std::string(name) + "." + field + " must be <= 65535");
+  }
+}
+
+TEST(ConfigValidate, RejectsKnownTxsCapAbove65535) {
+  ExpectCapLimited(&eth::NodeConfig::known_txs_cap, "known_txs_cap");
+}
+
+TEST(ConfigValidate, RejectsKnownBlocksCapAbove65535) {
+  ExpectCapLimited(&eth::NodeConfig::known_blocks_cap, "known_blocks_cap");
+}
+
+TEST(ConfigValidate, RejectsSeenTxsCapAbove65535) {
+  ExpectCapLimited(&eth::NodeConfig::seen_txs_cap, "seen_txs_cap");
+}
+
 TEST(ConfigValidate, RunRefusesAnInvalidConfig) {
   core::ExperimentConfig cfg = core::presets::SmallStudy(30);
   cfg.duration = Duration::Minutes(1);
