@@ -65,6 +65,27 @@ TEST(TxPool, ReplacementRequiresHigherPrice) {
   EXPECT_EQ(pool.size(), 1u);
 }
 
+// DESIGN.md §12's replacement quirk: including a replaced tx drops the pool
+// slot its replacement holds, but the replacement's hash stays known.
+TEST(TxPool, ReplacedThenIncludedHashStaysKnown) {
+  TxPool pool;
+  const Transaction a = Tx(1, 0, 1);
+  const Transaction b = Tx(1, 0, 2);
+  ASSERT_EQ(pool.Add(a), TxPool::AddOutcome::kPending);
+  ASSERT_EQ(pool.Add(b), TxPool::AddOutcome::kReplaced);
+
+  pool.RemoveIncluded({a});
+  EXPECT_TRUE(pool.Contains(b.hash));
+  EXPECT_EQ(pool.Add(b), TxPool::AddOutcome::kKnown);
+  EXPECT_EQ(pool.Add(a), TxPool::AddOutcome::kStale);
+  EXPECT_EQ(pool.size(), 1u);
+  EXPECT_EQ(pool.queued_count(), 1u);
+  EXPECT_EQ(pool.pending_count(), 0u);
+  EXPECT_EQ(pool.AccountNonce(Addr(1)), 1u);
+  EXPECT_TRUE(pool.SelectForBlock(8'000'000, 10).empty());
+  ASSERT_TRUE(pool.CheckInvariants());
+}
+
 TEST(TxPool, SelectRespectsPerSenderNonceOrder) {
   TxPool pool;
   pool.Add(Tx(1, 0, 5));
