@@ -137,15 +137,18 @@ void BM_BlockTreeLinearInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockTreeLinearInsert)->Arg(1'000);
 
+// A fresh world store and pool admit 200 new txs, each registered and then
+// added by id as a node does, and select them all.
 void BM_TxPoolAddSelect(benchmark::State& state) {
   for (auto _ : state) {
-    chain::TxPool pool;
+    chain::TxStore store;
+    chain::TxPool pool{store};
     for (std::uint8_t s = 1; s <= 50; ++s) {
       Address sender;
       sender.bytes[0] = s;
       for (std::uint64_t n = 0; n < 4; ++n)
-        pool.Add(chain::MakeTransaction(sender, n, sender, 1,
-                                        1 + (s * 7 + n) % 50));
+        pool.Add(store.Add(chain::MakeTransaction(sender, n, sender, 1,
+                                                  1 + (s * 7 + n) % 50)));
     }
     benchmark::DoNotOptimize(pool.SelectForBlock(8'000'000, 200));
   }
@@ -158,14 +161,15 @@ BENCHMARK(BM_TxPoolAddSelect);
 // one queued gap per third sender) and SelectForBlock runs repeatedly. This
 // isolates the persistent price-index path from Add-side churn.
 void BM_TxPoolSelectForBlock(benchmark::State& state) {
-  chain::TxPool pool;
+  chain::TxStore store;
+  chain::TxPool pool{store};
   for (std::uint8_t s = 1; s <= 100; ++s) {
     Address sender;
     sender.bytes[0] = s;
     for (std::uint64_t n = 0; n < 8; ++n) {
       if (s % 3 == 0 && n == 4) continue;  // nonce gap => queued tail
-      pool.Add(chain::MakeTransaction(sender, n, sender, 1,
-                                      1 + (s * 13 + n * 5) % 97));
+      pool.Add(store.Add(chain::MakeTransaction(sender, n, sender, 1,
+                                                1 + (s * 13 + n * 5) % 97)));
     }
   }
   std::int64_t selected = 0;
@@ -336,13 +340,13 @@ void BM_GossipBlockBroadcast(benchmark::State& state) {
     const chain::BlockPtr genesis = SealedGenesis(arena);
     chain::BlockDag dag{genesis};
     Rng ids{11};
-    chain::HashInterner hash_ids;
+    chain::TxStore tx_store;
     std::vector<std::unique_ptr<eth::EthNode>> nodes;
     for (int i = 0; i < 64; ++i) {
       const net::HostId host =
           network.AddHost({net::Region::WesternEurope, 1e9});
       nodes.push_back(std::make_unique<eth::EthNode>(
-          simulator, network, hash_ids, dag, host, p2p::RandomNodeId(ids),
+          simulator, network, tx_store, dag, host, p2p::RandomNodeId(ids),
           eth::NodeConfig{}, ids.Fork(static_cast<std::uint64_t>(i))));
     }
     Rng topo{13};
@@ -382,7 +386,7 @@ struct FlushHub {
       const net::HostId host =
           network.AddHost({net::Region::WesternEurope, 1e9});
       nodes.push_back(std::make_unique<eth::EthNode>(
-          simulator, network, hash_ids, dag, host, p2p::RandomNodeId(ids),
+          simulator, network, tx_store, dag, host, p2p::RandomNodeId(ids),
           cfg, ids.Fork(i)));
     }
     for (std::size_t i = 1; i <= peers; ++i)
@@ -404,7 +408,7 @@ struct FlushHub {
   net::Network network;
   chain::BlockArena arena;
   chain::BlockDag dag{SealedGenesis(arena)};
-  chain::HashInterner hash_ids;
+  chain::TxStore tx_store;
   std::vector<std::unique_ptr<eth::EthNode>> nodes;
 };
 
@@ -453,14 +457,14 @@ void BM_WorkloadSubmit(benchmark::State& state) {
     const chain::BlockPtr genesis = SealedGenesis(arena);
     chain::BlockDag dag{genesis};
     Rng ids{11};
-    chain::HashInterner hash_ids;
+    chain::TxStore tx_store;
     std::vector<std::unique_ptr<eth::EthNode>> nodes;
     std::vector<eth::EthNode*> frontends;
     for (int i = 0; i < 8; ++i) {
       const net::HostId host =
           network.AddHost({net::Region::WesternEurope, 1e9});
       nodes.push_back(std::make_unique<eth::EthNode>(
-          simulator, network, hash_ids, dag, host, p2p::RandomNodeId(ids),
+          simulator, network, tx_store, dag, host, p2p::RandomNodeId(ids),
           eth::NodeConfig{}, ids.Fork(static_cast<std::uint64_t>(i))));
       frontends.push_back(nodes.back().get());
     }

@@ -86,10 +86,6 @@ PropagationResult TxPropagationDelays(const ObserverSet& observers) {
   return ComputeDelays(observers, TxArrivals);
 }
 
-std::vector<VantageDelay> PerVantageBlockDelay(const ObserverSet& observers) {
-  return ComputePerVantage(observers, BlockArrivals);
-}
-
 std::vector<VantageDelay> PerVantageTxDelay(const ObserverSet& observers) {
   return ComputePerVantage(observers, TxArrivals);
 }

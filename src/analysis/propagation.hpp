@@ -29,14 +29,14 @@ PropagationResult BlockPropagationDelays(const ObserverSet& observers);
 // these are not geographically distinguishable).
 PropagationResult TxPropagationDelays(const ObserverSet& observers);
 
-// Per-vantage median delta, used to argue the geographic (in)difference:
-// one entry per observer, NaN-free (observers with no samples report 0).
+// Per-vantage median tx delta, used to argue the geographic (in)difference
+// (§III-A1): one entry per observer, NaN-free (observers with no samples
+// report 0).
 struct VantageDelay {
   std::string name;
   double median_ms = 0;
   std::size_t samples = 0;
 };
-std::vector<VantageDelay> PerVantageBlockDelay(const ObserverSet& observers);
 std::vector<VantageDelay> PerVantageTxDelay(const ObserverSet& observers);
 
 }  // namespace ethsim::analysis

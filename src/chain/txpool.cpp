@@ -5,27 +5,30 @@
 
 namespace ethsim::chain {
 
-namespace {
+TxPool::TxPool(TxStore& store) : store_(&store) {}
 
-// First position in a nonce-sorted run whose nonce is >= `nonce`.
-std::vector<Transaction>::iterator NonceSlot(std::vector<Transaction>& txs,
-                                             std::uint64_t nonce) {
-  return std::lower_bound(
-      txs.begin(), txs.end(), nonce,
-      [](const Transaction& t, std::uint64_t n) { return t.nonce < n; });
+TxPool::TxPool() : TxPool(std::make_unique<TxStore>()) {}
+
+TxPool::TxPool(std::unique_ptr<TxStore> store) : TxPool(*store) {
+  owned_store_ = std::move(store);
 }
 
-}  // namespace
+std::size_t TxPool::NonceSlot(const Account& account,
+                              std::uint64_t nonce) const {
+  return static_cast<std::size_t>(
+      std::lower_bound(
+          account.txs.begin(), account.txs.end(), nonce,
+          [this](TxId id, std::uint64_t n) { return tx(id).nonce < n; }) -
+      account.txs.begin());
+}
 
-std::uint32_t TxPool::CountExecutable(const Account& account) {
-  auto it = std::lower_bound(
-      account.txs.begin(), account.txs.end(), account.next_nonce,
-      [](const Transaction& t, std::uint64_t n) { return t.nonce < n; });
+std::uint32_t TxPool::CountExecutable(const Account& account) const {
   std::uint32_t n = 0;
-  while (it != account.txs.end() && it->nonce == account.next_nonce + n) {
+  for (std::size_t i = NonceSlot(account, account.next_nonce);
+       i < account.txs.size() &&
+       tx(account.txs[i]).nonce == account.next_nonce + n;
+       ++i)
     ++n;
-    ++it;
-  }
   return n;
 }
 
@@ -45,56 +48,55 @@ void TxPool::SetExecCount(Account& account, std::uint32_t exec) {
   }
 }
 
-TxPool::AddOutcome TxPool::Add(const Transaction& tx) {
-  if (known_.contains(tx.hash)) return AddOutcome::kKnown;
+TxPool::AddOutcome TxPool::Add(TxId id) {
+  if (known_.contains(id)) return AddOutcome::kKnown;
 
-  Account& account = accounts_[tx.sender];
-  if (tx.nonce < account.next_nonce) return AddOutcome::kStale;
+  const Transaction& added = tx(id);
+  Account& account = accounts_[added.sender];
+  if (added.nonce < account.next_nonce) return AddOutcome::kStale;
 
-  const auto it = NonceSlot(account.txs, tx.nonce);
-  if (it != account.txs.end() && it->nonce == tx.nonce) {
+  const std::size_t slot = NonceSlot(account, added.nonce);
+  if (slot < account.txs.size() && tx(account.txs[slot]).nonce == added.nonce) {
     // Same-slot replacement requires a strictly better price (Geth demands a
     // 10% bump; strict improvement is the behaviour that matters here).
     // The executable prefix is untouched: the slot stays occupied.
-    if (tx.gas_price <= it->gas_price) return AddOutcome::kRejected;
-    known_.erase(it->hash);
-    *it = tx;
-    known_.insert(tx.hash);
+    TxId& pooled = account.txs[slot];
+    if (added.gas_price <= tx(pooled).gas_price) return AddOutcome::kRejected;
+    known_.erase(pooled);
+    pooled = id;
+    known_.insert(id);
     return AddOutcome::kReplaced;
   }
 
-  account.txs.insert(it, tx);
-  known_.insert(tx.hash);
-  if (tx.nonce == account.next_nonce + account.exec_count) {
+  account.txs.insert(account.txs.begin() + slot, id);
+  known_.insert(id);
+  if (added.nonce == account.next_nonce + account.exec_count) {
     // Filled the first gap: the run extends over the new tx and then over
     // any queued txs the gap was holding back (promotion cascade).
     std::uint32_t exec = account.exec_count + 1;
     while (exec < account.txs.size() &&
-           account.txs[exec].nonce == account.next_nonce + exec)
+           tx(account.txs[exec]).nonce == account.next_nonce + exec)
       ++exec;
     SetExecCount(account, exec);
   }
-  return tx.nonce < account.next_nonce + account.exec_count
+  return added.nonce < account.next_nonce + account.exec_count
              ? AddOutcome::kPending
              : AddOutcome::kQueued;
 }
 
-void TxPool::SetAccountNonce(const Address& account_addr,
-                             std::uint64_t nonce) {
-  Account& account = accounts_[account_addr];
-  if (nonce <= account.next_nonce) {
-    account.next_nonce = std::max(account.next_nonce, nonce);
-    return;
-  }
+void TxPool::RaiseNonce(Account& account, std::uint64_t nonce) {
+  if (nonce <= account.next_nonce) return;
   account.next_nonce = nonce;
   // Drop transactions made stale by the nonce jump.
-  auto it = account.txs.begin();
-  while (it != account.txs.end() && it->nonce < nonce) {
-    known_.erase(it->hash);
-    ++it;
-  }
-  account.txs.erase(account.txs.begin(), it);
+  const auto stale_end = account.txs.begin() + NonceSlot(account, nonce);
+  for (auto it = account.txs.begin(); it != stale_end; ++it) known_.erase(*it);
+  account.txs.erase(account.txs.begin(), stale_end);
+  if (account.txs.empty()) account.txs = std::vector<TxId>();  // release
   SetExecCount(account, CountExecutable(account));
+}
+
+void TxPool::SetAccountNonce(const Address& account, std::uint64_t nonce) {
+  RaiseNonce(accounts_[account], nonce);
 }
 
 void TxPool::RollbackAccountNonce(const Address& account_addr,
@@ -115,18 +117,21 @@ std::uint64_t TxPool::AccountNonce(const Address& account) const {
 }
 
 void TxPool::RemoveIncluded(const std::vector<Transaction>& txs) {
-  for (const auto& tx : txs) {
-    known_.erase(tx.hash);
-    Account& account = accounts_[tx.sender];
-    const auto it = NonceSlot(account.txs, tx.nonce);
+  for (const auto& included : txs) {
+    if (const TxId id = store_->Find(included.hash); id != TxStore::kNoId)
+      known_.erase(id);
+    Account& account = accounts_[included.sender];
+    const std::size_t slot = NonceSlot(account, included.nonce);
     // If the pooled tx at this (sender, nonce) is a replacement with a
-    // different hash, only the pool slot is dropped here — its hash stays
-    // in known_ (long-standing quirk, kept bit-for-bit: dedup against a
+    // different hash, only the pool slot is dropped here — its id stays in
+    // known_ (long-standing quirk, kept bit-for-bit: dedup against a
     // replaced-then-included tx still answers "known").
-    if (it != account.txs.end() && it->nonce == tx.nonce)
-      account.txs.erase(it);
-    if (tx.nonce >= account.next_nonce)
-      SetAccountNonce(tx.sender, tx.nonce + 1);
+    if (slot < account.txs.size() &&
+        tx(account.txs[slot]).nonce == included.nonce)
+      account.txs.erase(account.txs.begin() + slot);
+    // A dropped slot always sat at or above the account nonce, so this
+    // raise runs and releases the run if the drop emptied it.
+    RaiseNonce(account, included.nonce + 1);
   }
 }
 
@@ -138,22 +143,22 @@ std::vector<Transaction> TxPool::SelectForBlock(std::uint64_t gas_limit,
   // full-pool sweep. (gas_price, hash) keys are strictly distinct, so the
   // pop order is the same whatever the seed order.
   struct Cursor {
+    const Transaction* tx;    // the store's body of account->txs[pos]
     const Account* account;
     std::uint32_t pos;        // index into account->txs
     std::uint32_t remaining;  // executable txs left for this account
   };
   auto price_less = [](const Cursor& a, const Cursor& b) {
-    const Transaction& ta = a.account->txs[a.pos];
-    const Transaction& tb = b.account->txs[b.pos];
-    if (ta.gas_price != tb.gas_price) return ta.gas_price < tb.gas_price;
+    if (a.tx->gas_price != b.tx->gas_price)
+      return a.tx->gas_price < b.tx->gas_price;
     // Deterministic tie-break on tx hash.
-    return ta.hash < tb.hash;
+    return a.tx->hash < b.tx->hash;
   };
 
   std::vector<Cursor> heap;
   heap.reserve(heads_.size());
   for (const Account* account : heads_)
-    heap.push_back({account, 0, account->exec_count});
+    heap.push_back({&tx(account->txs[0]), account, 0, account->exec_count});
   std::make_heap(heap.begin(), heap.end(), price_less);
 
   std::vector<Transaction> out;
@@ -162,16 +167,29 @@ std::vector<Transaction> TxPool::SelectForBlock(std::uint64_t gas_limit,
     std::pop_heap(heap.begin(), heap.end(), price_less);
     const Cursor cur = heap.back();
     heap.pop_back();
-    const Transaction& tx = cur.account->txs[cur.pos];
-    if (gas_used + tx.gas_limit > gas_limit) continue;  // account blocked on gas
-    gas_used += tx.gas_limit;
-    out.push_back(tx);
+    if (gas_used + cur.tx->gas_limit > gas_limit) continue;  // account blocked on gas
+    gas_used += cur.tx->gas_limit;
+    out.push_back(*cur.tx);
     if (cur.remaining > 1) {
-      heap.push_back({cur.account, cur.pos + 1, cur.remaining - 1});
+      const std::uint32_t pos = cur.pos + 1;
+      heap.push_back(
+          {&tx(cur.account->txs[pos]), cur.account, pos, cur.remaining - 1});
       std::push_heap(heap.begin(), heap.end(), price_less);
     }
   }
   return out;
+}
+
+std::size_t TxPool::allocated_bytes() const {
+  std::size_t total =
+      accounts_.bucket_count() * sizeof(void*) +
+      accounts_.size() * (sizeof(void*) + sizeof(*accounts_.begin())) +
+      known_.bucket_count() * sizeof(void*) +
+      known_.size() * (sizeof(void*) + sizeof(TxId)) +
+      heads_.capacity() * sizeof(Account*);
+  for (const auto& [addr, account] : accounts_)
+    total += account.txs.capacity() * sizeof(TxId);
+  return total;
 }
 
 bool TxPool::CheckInvariants() const {
@@ -189,17 +207,19 @@ bool TxPool::CheckInvariants() const {
   std::size_t with_heads = 0;
   for (const auto& [addr, account] : accounts_) {
     for (std::size_t i = 0; i < account.txs.size(); ++i) {
-      const Transaction& tx = account.txs[i];
-      ETHSIM_POOL_CHECK(tx.sender == addr);
-      ETHSIM_POOL_CHECK(tx.nonce >= account.next_nonce);
-      if (i > 0) ETHSIM_POOL_CHECK(account.txs[i - 1].nonce < tx.nonce);
-      ETHSIM_POOL_CHECK(known_.contains(tx.hash));
+      const TxId id = account.txs[i];
+      ETHSIM_POOL_CHECK(id < store_->size());
+      ETHSIM_POOL_CHECK(tx(id).sender == addr);
+      ETHSIM_POOL_CHECK(tx(id).nonce >= account.next_nonce);
+      if (i > 0) ETHSIM_POOL_CHECK(tx(account.txs[i - 1]).nonce < tx(id).nonce);
+      ETHSIM_POOL_CHECK(known_.contains(id));
     }
+    ETHSIM_POOL_CHECK(!account.txs.empty() || account.txs.capacity() == 0);
     // The cached run length must equal a from-scratch recount, and a
     // non-empty run always starts at the vector front.
     ETHSIM_POOL_CHECK(account.exec_count == CountExecutable(account));
     if (account.exec_count > 0) {
-      ETHSIM_POOL_CHECK(account.txs.front().nonce == account.next_nonce);
+      ETHSIM_POOL_CHECK(tx(account.txs.front()).nonce == account.next_nonce);
       ETHSIM_POOL_CHECK(account.head_slot != kNoSlot &&
                         account.head_slot < heads_.size());
       ETHSIM_POOL_CHECK(heads_[account.head_slot] == &account);

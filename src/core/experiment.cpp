@@ -60,7 +60,7 @@ void Experiment::Build() {
                       const eth::NodeConfig& node_cfg) -> eth::EthNode* {
     const net::HostId host = net_->AddHost({region, bandwidth});
     nodes_.push_back(std::make_unique<eth::EthNode>(
-        sim_, *net_, gossip_ids_, *dag_, host, p2p::RandomNodeId(ids),
+        sim_, *net_, txs_, *dag_, host, p2p::RandomNodeId(ids),
         node_cfg, node_rngs.Fork(nodes_.size())));
     nodes_.back()->AttachTelemetry(
         telemetry_.get(), static_cast<std::uint32_t>(nodes_.size() - 1));
@@ -239,6 +239,16 @@ void Experiment::RegisterSamplerProbes() {
   const chain::BlockDag* dag = &*dag_;
   s->AddProbe("chain.dag.bytes",
               [dag, i64] { return i64(dag->allocated_bytes()); });
+  // Tx-state bytes: the per-node pools, and the world store whose ids they
+  // hold.
+  s->AddProbe("chain.txpool.bytes.sum", [fleet] {
+    return fleet(
+        [](const eth::EthNode& n) { return n.pool().allocated_bytes(); },
+        false);
+  });
+  const chain::TxStore* store = &txs_;
+  s->AddProbe("chain.txstore.bytes",
+              [store, i64] { return i64(store->allocated_bytes()); });
   s->AddProbe("eth.peers.sum", [fleet] {
     return fleet([](const eth::EthNode& n) { return n.peer_count(); }, false);
   });

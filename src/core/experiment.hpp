@@ -10,7 +10,7 @@
 
 #include "chain/block_arena.hpp"
 #include "chain/block_dag.hpp"
-#include "chain/interner.hpp"
+#include "chain/tx_store.hpp"
 #include "core/config.hpp"
 #include "eth/node.hpp"
 #include "fault/controller.hpp"
@@ -52,6 +52,8 @@ class Experiment {
     return nodes_;
   }
   chain::BlockPtr genesis() const { return genesis_; }
+  // Every tx submitted in this world, by the id the nodes carry.
+  const chain::TxStore& tx_store() const { return txs_; }
   const net::Network& network() const { return *net_; }
 
   // The run's telemetry facade; null when config().telemetry has every
@@ -83,11 +85,12 @@ class Experiment {
   // before the node/miner/observer layers so the handles they hold stay
   // valid throughout teardown.
   chain::BlockArena arena_;
-  // Dense ids for every tx hash gossiped in this world, shared by all nodes'
-  // known-tx caches (one entry, ~40 B, per distinct hash; never shrinks).
-  // Per world, never process-global: SeedSweepRunner runs worlds on parallel
+  // Every tx submitted in this world, once, under the dense id that the
+  // nodes' pools, broadcast queues, Transactions messages and known-tx caches
+  // carry (one body and one hash-index entry per tx; never shrinks). Per
+  // world, never process-global: SeedSweepRunner runs worlds on parallel
   // threads. Declared before nodes_ like arena_, so it outlives them.
-  chain::HashInterner gossip_ids_;
+  chain::TxStore txs_;
   chain::BlockPtr genesis_ = nullptr;
   // The world block DAG every node's chain view reads: each block's parent,
   // height and total difficulty, once per world. Its ids also key the

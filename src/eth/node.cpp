@@ -48,17 +48,18 @@ namespace {
 }  // namespace
 
 EthNode::EthNode(sim::Simulator& simulator, net::Network& network,
-                 chain::HashInterner& tx_ids, chain::BlockDag& blocks,
+                 chain::TxStore& txs, chain::BlockDag& blocks,
                  net::HostId host, p2p::NodeId id, NodeConfig config, Rng rng)
     : sim_(simulator),
       net_(network),
-      tx_ids_(tx_ids),
+      txs_(txs),
       blocks_(blocks),
       host_(host),
       id_(id),
       config_(config),
       rng_(rng),
       tree_(blocks),
+      pool_(txs),
       seen_txs_(config.seen_txs_cap) {}
 
 net::Region EthNode::region() const { return net_.host(host_).region; }
@@ -153,13 +154,6 @@ bool EthNode::Connect(EthNode& a, EthNode& b) {
   return true;
 }
 
-bool EthNode::Disconnect(EthNode& a, EthNode& b) {
-  const bool removed_a = a.RemovePeer(&b);
-  const bool removed_b = b.RemovePeer(&a);
-  assert(removed_a == removed_b && "peer vectors out of sync");
-  return removed_a && removed_b;
-}
-
 std::size_t EthNode::DisconnectAll() {
   std::size_t severed = 0;
   while (!peers_.empty()) {
@@ -219,13 +213,14 @@ void EthNode::MarkKnowsBlock(EthNode* from, const Hash32& hash) {
 
 void EthNode::SubmitTransaction(const chain::Transaction& tx) {
   if (!online_) return;  // a crashed node accepts no local submissions
-  if (!seen_txs_.Insert(tx_ids_.Intern(tx.hash))) return;
-  const auto outcome = pool_.Add(tx);
+  const chain::TxStore::TxId id = txs_.Add(tx);
+  if (!seen_txs_.Insert(id)) return;
+  const auto outcome = pool_.Add(id);
   if (txprov_ != nullptr) [[unlikely]]
     txprov_->RecordPoolOutcome(host_, tx.hash, sim_.Now().micros(),
                                static_cast<obs::TxPoolOutcome>(outcome),
                                tx.gas_price);
-  QueueTxForBroadcast(tx);
+  QueueTxForBroadcast(id);
 }
 
 void EthNode::InjectMinedBlock(chain::BlockPtr block) {
@@ -301,32 +296,26 @@ void EthNode::DeliverGetBlock(EthNode* from, const Hash32& hash) {
                            sim_.Now().micros(), ToEdgeOutcome(sent));
 }
 
-void EthNode::DeliverTransactions(EthNode* from, const TxBatchView& batch) {
+void EthNode::DeliverTransactions(EthNode* from, const TxBatch& batch) {
   if (DropIngress(from, obs::MsgKind::kTransactions)) [[unlikely]] return;
   Peer* peer = FindPeer(from);
   if (tx_received_count_ != nullptr) [[unlikely]]
-    tx_received_count_->Add(batch.count());
-  const auto process = [&](const chain::Transaction& tx) {
-    if (sink_ != nullptr) sink_->OnTransactionMessage(tx);
-    const FifoIdSet::Id id = tx_ids_.Intern(tx.hash);
+    tx_received_count_->Add(batch->size());
+  for (const chain::TxStore::TxId id : *batch) {
+    if (sink_ != nullptr) sink_->OnTransactionMessage(txs_[id]);
     if (peer != nullptr) peer->known_txs.Insert(id);
-    if (!seen_txs_.Insert(id)) return;
+    if (!seen_txs_.Insert(id)) continue;
     // Post-dedupe = this node's first reception of the transaction. The
     // recorder filters to vantage hosts itself.
+    const chain::Transaction& tx = txs_[id];
     if (txprov_ != nullptr) [[unlikely]]
       txprov_->RecordFirstSeen(host_, tx.hash, sim_.Now().micros());
-    const auto outcome = pool_.Add(tx);
+    const auto outcome = pool_.Add(id);
     if (txprov_ != nullptr) [[unlikely]]
       txprov_->RecordPoolOutcome(host_, tx.hash, sim_.Now().micros(),
                                  static_cast<obs::TxPoolOutcome>(outcome),
                                  tx.gas_price);
-    QueueTxForBroadcast(tx);
-  };
-  const auto& txs = *batch.txs;
-  if (batch.subset) {
-    for (const std::uint32_t i : *batch.subset) process(txs[i]);
-  } else {
-    for (const auto& tx : txs) process(tx);
+    QueueTxForBroadcast(id);
   }
 }
 
@@ -418,6 +407,7 @@ void EthNode::AfterAdd(const chain::BlockPtr& block,
   // Reorg bookkeeping mirrors Geth: a retired block's transactions return to
   // the pool, an adopted block's leave it. The edits replay in the order the
   // tree made them, because one Add can adopt a block and retire it again.
+  // Either way the pool maps each block tx to its store id with one lookup.
   const std::int64_t now_us = sim_.Now().micros();
   for (const auto& [edited, adopted] : result.edits) {
     if (adopted) {
@@ -546,8 +536,8 @@ void EthNode::SendAnnouncement(Peer& peer, const chain::BlockPtr& block) {
 
 // --- transaction gossip ------------------------------------------------------
 
-void EthNode::QueueTxForBroadcast(const chain::Transaction& tx) {
-  tx_broadcast_queue_.push_back(tx);
+void EthNode::QueueTxForBroadcast(chain::TxStore::TxId id) {
+  tx_broadcast_queue_.push_back(id);
   if (!flush_scheduled_) {
     flush_scheduled_ = true;
     sim_.Schedule(config_.tx_flush_interval, [this, epoch = epoch_] {
@@ -559,14 +549,12 @@ void EthNode::QueueTxForBroadcast(const chain::Transaction& tx) {
 void EthNode::FlushTxBroadcast() {
   flush_scheduled_ = false;
   if (tx_broadcast_queue_.empty()) return;
-  // One immutable batch per flush, shared by every peer; per-peer filtering
-  // is an index list (4 bytes/entry) instead of a Transaction copy
-  // (~120 bytes/entry), and the common all-known-to-none case ships with no
-  // per-peer allocation at all.
-  const auto batch = std::make_shared<const std::vector<chain::Transaction>>(
+  // One immutable id vector per flush, shared by every peer that needs all
+  // of it; any other peer gets its own id list (4 bytes per tx either way).
+  const auto batch = std::make_shared<const std::vector<chain::TxStore::TxId>>(
       std::move(tx_broadcast_queue_));
   tx_broadcast_queue_.clear();
-  const std::vector<chain::Transaction>& queue = *batch;
+  const std::vector<chain::TxStore::TxId>& queue = *batch;
 
   if (tx_tracer_ != nullptr) [[unlikely]] {
     obs::TraceEvent event;
@@ -579,30 +567,27 @@ void EthNode::FlushTxBroadcast() {
     tx_tracer_->Emit(event);
   }
 
-  // Intern the batch once; each peer then pays one Insert per tx, which
-  // returns false for a tx the peer already knows.
-  flush_ids_.clear();
-  for (const auto& tx : queue) flush_ids_.push_back(tx_ids_.Intern(tx.hash));
-
+  // Each peer pays one Insert per tx, which returns false for a tx the peer
+  // already knows.
   for (Peer& peer : peers_) {
     flush_subset_.clear();
     std::size_t bytes = kTxBatchOverhead;
-    for (std::uint32_t i = 0; i < queue.size(); ++i) {
-      if (!peer.known_txs.Insert(flush_ids_[i])) continue;
-      flush_subset_.push_back(i);
-      bytes += queue[i].EncodedSize();
+    for (const chain::TxStore::TxId id : queue) {
+      if (!peer.known_txs.Insert(id)) continue;
+      flush_subset_.push_back(id);
+      bytes += txs_[id].EncodedSize();
     }
     if (flush_subset_.empty()) continue;
-    TxBatchView view;
-    view.txs = batch;
-    if (flush_subset_.size() != queue.size())
-      view.subset = std::make_shared<const std::vector<std::uint32_t>>(
-          flush_subset_);
+    TxBatch message =
+        flush_subset_.size() == queue.size()
+            ? batch
+            : std::make_shared<const std::vector<chain::TxStore::TxId>>(
+                  flush_subset_);
     EthNode* target = peer.node;
     const net::SendOutcome sent = net_.Send(
         host_, target->host(), bytes, obs::MsgKind::kTransactions,
-        [target, self = this, view = std::move(view)] {
-          target->DeliverTransactions(self, view);
+        [target, self = this, message = std::move(message)] {
+          target->DeliverTransactions(self, message);
         });
     if (prov_ != nullptr) [[unlikely]]
       prov_->RecordTxEdge(host_, target->host(), flush_subset_.size(), bytes,

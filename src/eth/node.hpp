@@ -6,10 +6,12 @@
 //                     have a transaction
 // Each node owns its own view of the chain (a BlockTree over the world's
 // shared chain::BlockDag, holding only the node's first-seen times, canonical
-// index and orphan buffers) and a TxPool, and tracks per-peer
-// known-block/known-tx caches exactly like Geth's peer.knownBlocks/knownTxs.
-// The caches hold 32-bit ids shared by every node of a world: a block's DAG
-// id, and a tx hash's id in the world's tx chain::HashInterner.
+// index and orphan buffers) and a TxPool over the world's chain::TxStore, and
+// tracks per-peer known-block/known-tx caches exactly like Geth's
+// peer.knownBlocks/knownTxs. The caches hold 32-bit ids shared by every node
+// of a world: a block's DAG id, and a tx's store id. A tx is registered in
+// the store when it is submitted; its pool entries, broadcast queue entries
+// and Transactions messages carry the id from then on.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +23,7 @@
 
 #include "chain/block_dag.hpp"
 #include "chain/blocktree.hpp"
-#include "chain/interner.hpp"
+#include "chain/tx_store.hpp"
 #include "chain/txpool.hpp"
 #include "common/fifo_id_set.hpp"
 #include "common/random.hpp"
@@ -34,17 +36,10 @@
 
 namespace ethsim::eth {
 
-// A Transactions wire message: one flush-wide immutable batch shared by every
-// receiving peer, plus an optional per-peer index filter. The common case —
-// a peer that needs the whole batch — carries just two shared_ptr copies
-// instead of duplicating every Transaction per peer.
-struct TxBatchView {
-  std::shared_ptr<const std::vector<chain::Transaction>> txs;
-  // Indices into *txs this peer should receive; null means the whole batch.
-  std::shared_ptr<const std::vector<std::uint32_t>> subset;
-
-  std::size_t count() const { return subset ? subset->size() : txs->size(); }
-};
+// A Transactions wire message: the store ids of the txs it carries, in queue
+// order. A peer that needs a whole flush shares the flush's own vector; any
+// other peer gets its own list.
+using TxBatch = std::shared_ptr<const std::vector<chain::TxStore::TxId>>;
 
 // Block relay strategy — Geth's sqrt-push is the default; the alternatives
 // exist for the ablation benches (bandwidth/latency/redundancy tradeoff).
@@ -92,13 +87,13 @@ struct NodeConfig {
 
 class EthNode {
  public:
-  // `tx_ids` interns every gossiped tx hash for the known caches, and
-  // `blocks` is the world DAG the node's chain view reads (its ids also key
-  // the known-block caches). Both serve a whole world and must outlive its
-  // nodes (the BlockArena contract); worlds on parallel threads each own
-  // their own.
+  // `txs` is the world tx store the node's pool, relay and known-tx caches
+  // read by id, and `blocks` is the world DAG the node's chain view reads
+  // (its ids also key the known-block caches). Both serve a whole world and
+  // must outlive its nodes (the BlockArena contract); worlds on parallel
+  // threads each own their own.
   EthNode(sim::Simulator& simulator, net::Network& network,
-          chain::HashInterner& tx_ids, chain::BlockDag& blocks,
+          chain::TxStore& txs, chain::BlockDag& blocks,
           net::HostId host, p2p::NodeId id, NodeConfig config, Rng rng);
 
   EthNode(const EthNode&) = delete;
@@ -112,9 +107,6 @@ class EthNode {
   // Establishes a mutual connection. Returns false if either side is full
   // or offline, they are already connected, or it is a self-dial.
   static bool Connect(EthNode& a, EthNode& b);
-  // Tears down a mutual connection; both peer vectors stay consistent (the
-  // churn primitive). Returns false when the two were not connected.
-  static bool Disconnect(EthNode& a, EthNode& b);
   // Drops every peer link (both sides); returns how many were severed.
   std::size_t DisconnectAll();
   std::size_t peer_count() const { return peers_.size(); }
@@ -147,7 +139,8 @@ class EthNode {
   }
 
   // --- local actions ------------------------------------------------------
-  // A user submits a transaction at this node (enters pool + gossip).
+  // A user submits a transaction at this node: it is registered in the world
+  // store and enters the pool and the gossip.
   void SubmitTransaction(const chain::Transaction& tx);
   // A mining pool releases a freshly mined block through this gateway node.
   void InjectMinedBlock(chain::BlockPtr block);
@@ -155,7 +148,6 @@ class EthNode {
   // --- chain state --------------------------------------------------------
   const chain::BlockTree& tree() const { return tree_; }
   const chain::TxPool& pool() const { return pool_; }
-  chain::TxPool& mutable_pool() { return pool_; }
   // Total entries across the dedup caches (seen_txs_ plus every peer's
   // known_blocks/known_txs) — the node's gossip working-set size, recorded
   // by the state sampler. Bounded by config caps; a plateau at the cap is
@@ -184,7 +176,7 @@ class EthNode {
                            std::uint64_t number);
   void DeliverGetBlock(EthNode* from, const Hash32& hash);
   void DeliverBlockResponse(EthNode* from, chain::BlockPtr block);
-  void DeliverTransactions(EthNode* from, const TxBatchView& batch);
+  void DeliverTransactions(EthNode* from, const TxBatch& batch);
 
  private:
   struct Peer {
@@ -203,7 +195,7 @@ class EthNode {
   // duplicate checks; RemovePeer erases in place preserving order, so the
   // relay shuffle and announcement iteration stay consistent with the
   // surviving peer set. Both are private: external callers go through
-  // Connect/Disconnect, which keep the two sides symmetric.
+  // Connect/DisconnectAll, which keep the two sides symmetric.
   bool AddPeer(EthNode* node);
   bool RemovePeer(const EthNode* node);
   // The ingress guard every Deliver* opens with: resolves the message's edge
@@ -227,7 +219,7 @@ class EthNode {
   void RequestBlock(EthNode* peer, const Hash32& hash, std::uint64_t number);
   Duration ValidationDelay(const chain::Block& block) const;
 
-  void QueueTxForBroadcast(const chain::Transaction& tx);
+  void QueueTxForBroadcast(chain::TxStore::TxId id);
   void FlushTxBroadcast();
 
   // Callers mark the block known to `peer` first.
@@ -241,7 +233,7 @@ class EthNode {
 
   sim::Simulator& sim_;
   net::Network& net_;
-  chain::HashInterner& tx_ids_;
+  chain::TxStore& txs_;
   chain::BlockDag& blocks_;
   net::HostId host_;
   p2p::NodeId id_;
@@ -256,7 +248,7 @@ class EthNode {
   std::unordered_set<Hash32> importing_;  // full block received, pre-import
   std::unordered_set<Hash32> requested_;  // GetBlock in flight
 
-  std::vector<chain::Transaction> tx_broadcast_queue_;
+  std::vector<chain::TxStore::TxId> tx_broadcast_queue_;
   bool flush_scheduled_ = false;
   std::uint64_t invalid_blocks_ = 0;
 
@@ -268,9 +260,8 @@ class EthNode {
   std::uint64_t offline_drops_ = 0;
 
   // Scratch buffers reused across relay rounds (no per-call allocations).
-  std::vector<std::uint32_t> relay_order_;   // PushToSqrtPeers shuffle
-  std::vector<std::uint32_t> flush_subset_;  // FlushTxBroadcast per-peer filter
-  std::vector<FifoIdSet::Id> flush_ids_;     // FlushTxBroadcast batch ids
+  std::vector<std::uint32_t> relay_order_;  // PushToSqrtPeers shuffle
+  std::vector<chain::TxStore::TxId> flush_subset_;  // FlushTxBroadcast per peer
 
   MessageSink* sink_ = nullptr;
   std::function<void(chain::BlockPtr)> on_new_head_;

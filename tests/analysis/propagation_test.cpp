@@ -161,12 +161,12 @@ TEST_F(PropagationFixture, PerVantageMediansIdentifyLaggards) {
   auto* b = AddObserver("NA", 0_ms);
   for (int i = 1; i <= 20; ++i) {
     Hash32 h = H(static_cast<std::uint8_t>(i));
-    BlockAt(a, Duration::Seconds(i), h);                        // always first
-    BlockAt(b, Duration::Seconds(i) + Duration::Millis(80), h); // +80ms
+    TxAt(a, Duration::Seconds(i), h);                        // always first
+    TxAt(b, Duration::Seconds(i) + Duration::Millis(80), h); // +80ms
   }
   simulator.RunAll();
 
-  const auto rows = PerVantageBlockDelay(Set());
+  const auto rows = PerVantageTxDelay(Set());
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].name, "EA");
   EXPECT_EQ(rows[0].samples, 0u);  // never trails

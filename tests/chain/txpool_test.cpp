@@ -253,5 +253,46 @@ TEST(TxPool, RemoveIncludedOfQueuedOnlyTx) {
   ASSERT_TRUE(pool.CheckInvariants());
 }
 
+// --- World transaction store ------------------------------------------------
+
+TEST(TxStore, RegistersEachHashOnceInFirstSeenOrder) {
+  TxStore store;
+  const Transaction a = Tx(1, 0);
+  const Transaction b = Tx(2, 0);
+  EXPECT_EQ(store.Add(a), 0u);
+  EXPECT_EQ(store.Add(b), 1u);
+  EXPECT_EQ(store.Add(a), 0u);  // a known hash keeps its id
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store[1].hash, b.hash);
+  EXPECT_EQ(store.Find(a.hash), 0u);
+  EXPECT_EQ(store.Find(Tx(3, 0).hash), TxStore::kNoId);
+  EXPECT_GE(store.allocated_bytes(), 2 * sizeof(Transaction));
+}
+
+TEST(TxPool, PoolsOverOneStoreShareItsIds) {
+  TxStore store;
+  TxPool first{store};
+  TxPool second{store};
+  const Transaction tx = Tx(1, 0, 9, 16);
+  EXPECT_EQ(first.Add(store.Add(tx)), TxPool::AddOutcome::kPending);
+  // Adding the body registers nothing new: both pools hold the one id.
+  EXPECT_EQ(second.Add(tx), TxPool::AddOutcome::kPending);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_TRUE(second.Contains(tx.hash));
+
+  // Selection copies the body out of the store.
+  const auto selected = first.SelectForBlock(8'000'000, 10);
+  ASSERT_EQ(selected.size(), 1u);
+  EXPECT_EQ(selected[0].hash, tx.hash);
+  EXPECT_EQ(selected[0].payload_bytes, 16u);
+
+  // Inclusion at one pool leaves the other untouched.
+  first.RemoveIncluded(selected);
+  EXPECT_EQ(first.size(), 0u);
+  EXPECT_EQ(second.size(), 1u);
+  EXPECT_TRUE(first.CheckInvariants());
+  EXPECT_TRUE(second.CheckInvariants());
+}
+
 }  // namespace
 }  // namespace ethsim::chain

@@ -79,7 +79,7 @@ TEST(StateSamplerIntegration, RecordsConfiguredCadenceWithBaselineRow) {
        {"sim.queue.pending", "sim.arena.slots", "net.inflight.msgs",
         "net.inflight.bytes", "txpool.pending.sum", "txpool.heads.sum",
         "chain.blocks.max", "chain.tree.bytes.sum", "chain.dag.bytes",
-        "eth.peers.sum", "eth.known.sum", "eth.known.bytes.sum",
+        "chain.txpool.bytes.sum", "chain.txstore.bytes", "eth.peers.sum", "eth.known.sum", "eth.known.bytes.sum",
         "measure.records.bytes", "miner.blocks_found",
         "miner.gateways.online"})
     EXPECT_NE(log.Find(name), obs::TimeSeriesLog::npos) << name;
@@ -96,6 +96,14 @@ TEST(StateSamplerIntegration, RecordsConfiguredCadenceWithBaselineRow) {
   // The chain byte probes measure the views and the DAG they share.
   EXPECT_GT(log.values[log.Find("chain.tree.bytes.sum")].back(), 0);
   EXPECT_GT(log.values[log.Find("chain.dag.bytes")].back(), 0);
+  // The tx byte probes measure the pools and the store whose ids they hold.
+  // The store only grows, so its last sample is at most its final size.
+  EXPECT_GT(log.values[log.Find("chain.txpool.bytes.sum")].back(), 0);
+  const std::int64_t stored =
+      log.values[log.Find("chain.txstore.bytes")].back();
+  EXPECT_GT(stored, 0);
+  EXPECT_LE(stored,
+            static_cast<std::int64_t>(exp.tx_store().allocated_bytes()));
   // The vantage logs only grow, so the last sample (taken at the end time,
   // maybe before that instant's last arrivals) is positive and at most what
   // the vantages hold once the run is over.

@@ -59,7 +59,7 @@ struct Cluster {
     Rng ids{7};
     for (std::size_t i = 0; i < n; ++i) {
       const net::HostId host = net->AddHost({region, 1e9});
-      nodes.push_back(std::make_unique<EthNode>(simulator, *net, hash_ids, dag,
+      nodes.push_back(std::make_unique<EthNode>(simulator, *net, tx_store, dag,
                                                 host, p2p::RandomNodeId(ids),
                                                 cfg, ids.Fork(i)));
     }
@@ -80,7 +80,7 @@ struct Cluster {
   std::unique_ptr<net::Network> net;
   chain::BlockPtr genesis = MakeGenesis();
   chain::BlockDag dag{genesis};
-  chain::HashInterner hash_ids;
+  chain::TxStore tx_store;
   std::vector<std::unique_ptr<EthNode>> nodes;
 };
 
@@ -401,11 +401,11 @@ TEST(EthNodeFaults, GossipSurvivesMessageLoss) {
   chain::BlockPtr genesis = MakeGenesis();
   chain::BlockDag dag{genesis};
   Rng ids{7};
-  chain::HashInterner hash_ids;
+  chain::TxStore tx_store;
   std::vector<std::unique_ptr<EthNode>> nodes;
   for (int i = 0; i < 16; ++i) {
     const net::HostId host = network.AddHost({net::Region::WesternEurope, 1e9});
-    nodes.push_back(std::make_unique<EthNode>(simulator, network, hash_ids,
+    nodes.push_back(std::make_unique<EthNode>(simulator, network, tx_store,
                                               dag, host, p2p::RandomNodeId(ids),
                                               NodeConfig{}, ids.Fork(i)));
   }
@@ -458,26 +458,14 @@ TEST(EthNodeValidation, CorruptBlockIsRejectedNotImported) {
   EXPECT_TRUE(c.nodes[1]->tree().Contains(bad->hash));
 }
 
-TEST(EthNodeChurn, DisconnectIsMutualAndIdempotent) {
-  Cluster c{3};
-  c.ConnectAll();
-  EXPECT_TRUE(EthNode::Disconnect(*c.nodes[0], *c.nodes[1]));
-  EXPECT_FALSE(c.nodes[0]->ConnectedTo(*c.nodes[1]));
-  EXPECT_FALSE(c.nodes[1]->ConnectedTo(*c.nodes[0]));
-  EXPECT_FALSE(EthNode::Disconnect(*c.nodes[0], *c.nodes[1]));  // already gone
-  // The surviving link still relays.
-  EXPECT_TRUE(c.nodes[0]->ConnectedTo(*c.nodes[2]));
-  EXPECT_EQ(c.nodes[0]->peer_count(), 1u);
-  EXPECT_EQ(c.nodes[2]->peer_count(), 2u);
-}
-
 TEST(EthNodeChurn, DisconnectFreesCapacityForReconnect) {
   NodeConfig cfg;
   cfg.max_peers = 1;
   Cluster c{3, cfg};
   EXPECT_TRUE(EthNode::Connect(*c.nodes[0], *c.nodes[1]));
   EXPECT_FALSE(EthNode::Connect(*c.nodes[0], *c.nodes[2]));  // full
-  EXPECT_TRUE(EthNode::Disconnect(*c.nodes[0], *c.nodes[1]));
+  EXPECT_EQ(c.nodes[0]->DisconnectAll(), 1u);
+  EXPECT_EQ(c.nodes[1]->peer_count(), 0u);  // the far side's slot too
   EXPECT_TRUE(EthNode::Connect(*c.nodes[0], *c.nodes[2]));   // slot freed
 }
 

@@ -41,7 +41,7 @@ struct ObserverFixture : ::testing::Test {
       const net::HostId host = net->AddHost({net::Region::WesternEurope, 1e9});
       Rng ids{static_cast<std::uint64_t>(i) + 10};
       nodes.push_back(std::make_unique<eth::EthNode>(
-          simulator, *net, hash_ids, dag, host, p2p::RandomNodeId(ids),
+          simulator, *net, tx_store, dag, host, p2p::RandomNodeId(ids),
           eth::NodeConfig{}, Rng{static_cast<std::uint64_t>(i) + 50}));
     }
     for (std::size_t i = 0; i < 3; ++i)
@@ -53,7 +53,7 @@ struct ObserverFixture : ::testing::Test {
   std::unique_ptr<net::Network> net;
   chain::BlockPtr genesis = MakeGenesis();
   chain::BlockDag dag{genesis};
-  chain::HashInterner hash_ids;
+  chain::TxStore tx_store;
   std::vector<std::unique_ptr<eth::EthNode>> nodes;
 };
 
@@ -146,7 +146,7 @@ TEST_F(ObserverFixture, DistinguishesMessageKinds) {
     const net::HostId host = net->AddHost({net::Region::WesternEurope, 1e9});
     Rng ids{static_cast<std::uint64_t>(i) + 400};
     nodes.push_back(std::make_unique<eth::EthNode>(
-        simulator, *net, hash_ids, dag, host, p2p::RandomNodeId(ids),
+        simulator, *net, tx_store, dag, host, p2p::RandomNodeId(ids),
         eth::NodeConfig{}, Rng{static_cast<std::uint64_t>(i) + 900}));
   }
   for (std::size_t i = 0; i < nodes.size(); ++i)

@@ -48,7 +48,7 @@ struct MiningFixture : ::testing::Test {
     const net::HostId host = net->AddHost({region, 1e9});
     Rng ids{static_cast<std::uint64_t>(nodes.size()) + 1000};
     nodes.push_back(std::make_unique<eth::EthNode>(
-        simulator, *net, hash_ids, *dag, host, p2p::RandomNodeId(ids),
+        simulator, *net, tx_store, *dag, host, p2p::RandomNodeId(ids),
         eth::NodeConfig{}, Rng{nodes.size() + 77}));
     return nodes.back().get();
   }
@@ -82,7 +82,7 @@ struct MiningFixture : ::testing::Test {
   std::unique_ptr<net::Network> net;
   chain::BlockPtr genesis;
   std::optional<chain::BlockDag> dag;
-  chain::HashInterner hash_ids;
+  chain::TxStore tx_store;
   std::vector<std::unique_ptr<eth::EthNode>> nodes;
   MiningParams params;
 };

@@ -49,7 +49,7 @@ struct World {
       const net::HostId host =
           network->AddHost({net::Region::WesternEurope, 1e9});
       nodes.push_back(std::make_unique<EthNode>(
-          simulator, *network, hash_ids, dag, host, p2p::RandomNodeId(ids),
+          simulator, *network, tx_store, dag, host, p2p::RandomNodeId(ids),
           cfg, ids.Fork(i)));
     }
     // Connected topology: ring backbone + random chords up to `degree`.
@@ -68,7 +68,7 @@ struct World {
   std::unique_ptr<net::Network> network;
   chain::BlockPtr genesis = MakeGenesis();
   chain::BlockDag dag{genesis};
-  chain::HashInterner hash_ids;
+  chain::TxStore tx_store;
   std::vector<std::unique_ptr<EthNode>> nodes;
 };
 

@@ -41,7 +41,7 @@ struct Harness {
     for (std::size_t i = 0; i < regions.size(); ++i) {
       const net::HostId host = net->AddHost({regions[i], 1e9});
       nodes.push_back(std::make_unique<eth::EthNode>(
-          simulator, *net, hash_ids, dag, host, p2p::RandomNodeId(ids),
+          simulator, *net, tx_store, dag, host, p2p::RandomNodeId(ids),
           eth::NodeConfig{}, ids.Fork(i)));
     }
   }
@@ -66,7 +66,7 @@ struct Harness {
   std::unique_ptr<net::Network> net;
   chain::BlockPtr genesis = MakeGenesis();
   chain::BlockDag dag{genesis};
-  chain::HashInterner hash_ids;
+  chain::TxStore tx_store;
   std::vector<std::unique_ptr<eth::EthNode>> nodes;
   std::unique_ptr<WorkloadGenerator> generator;
 };
