@@ -544,32 +544,6 @@ void BM_TxProvRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_TxProvRecord);
 
-// Schedule/cancel churn: half the scheduled events are cancelled before they
-// fire. Guards the O(1) generation-based Cancel (the seed engine kept a
-// tombstone set that grew without bound).
-void BM_EventQueueCancelChurn(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    sim::Simulator simulator;
-    std::vector<sim::EventHandle> handles;
-    handles.reserve(n);
-    std::uint64_t x = 7;
-    for (std::size_t i = 0; i < n; ++i) {
-      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-      handles.push_back(simulator.Schedule(
-          Duration::Micros(static_cast<std::int64_t>(x % 1'000'000)), [] {}));
-    }
-    for (std::size_t i = 0; i < n; i += 2) simulator.Cancel(handles[i]);
-    simulator.RunAll();
-    // Stale cancels after the run must stay no-ops (regression for the
-    // tombstone leak).
-    for (std::size_t i = 1; i < n; i += 2) simulator.Cancel(handles[i]);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_EventQueueCancelChurn)->Arg(100'000);
-
 // Curated JSON summary. We deliberately avoid --benchmark_format=json (it
 // dumps every context field and complexity report); instead we keep a small
 // stable schema so BENCH_engine.json diffs stay readable across PRs.

@@ -167,10 +167,12 @@ void Experiment::RegisterSamplerProbes() {
   obs::StateSampler* s = telemetry_->sampler();
   const auto i64 = [](auto v) { return static_cast<std::int64_t>(v); };
 
-  // Engine: event-queue depth and slot-arena occupancy.
+  // Engine: event-queue depth, slot-arena occupancy and the engine's bytes.
   s->AddProbe("sim.queue.pending", [this, i64] { return i64(sim_.pending()); });
   s->AddProbe("sim.arena.slots",
               [this, i64] { return i64(sim_.Snapshot().slots_allocated); });
+  s->AddProbe("sim.arena.bytes",
+              [this, i64] { return i64(sim_.allocated_bytes()); });
   s->AddProbe("sim.arena.free",
               [this, i64] { return i64(sim_.Snapshot().free_slots); });
 

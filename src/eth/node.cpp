@@ -189,7 +189,6 @@ bool EthNode::DropIngress(const EthNode* from, obs::MsgKind kind) {
   if (prov_ != nullptr) [[unlikely]]
     prov_->ResolveDelivery(from->host(), host_, online_);
   if (online_) [[likely]] return false;
-  ++offline_drops_;
   net_.NoteOfflineDrop(kind, region());
   return true;
 }
@@ -245,7 +244,7 @@ void EthNode::DeliverNewBlock(EthNode* from, chain::BlockPtr block) {
   if (DropIngress(from, obs::MsgKind::kNewBlock)) [[unlikely]] return;
   if (sink_ != nullptr)
     sink_->OnBlockMessage(MessageSink::BlockMsgKind::kFullBlock, block->hash,
-                          block->header.number, block);
+                          block->header.number);
   if (block_tracer_ != nullptr) [[unlikely]]
     TraceBlockInstant("block.heard", "new_block", block->hash,
                       block->header.number);
@@ -257,7 +256,7 @@ void EthNode::DeliverBlockResponse(EthNode* from, chain::BlockPtr block) {
   if (DropIngress(from, obs::MsgKind::kBlockResponse)) [[unlikely]] return;
   if (sink_ != nullptr)
     sink_->OnBlockMessage(MessageSink::BlockMsgKind::kFetched, block->hash,
-                          block->header.number, block);
+                          block->header.number);
   if (block_tracer_ != nullptr) [[unlikely]]
     TraceBlockInstant("block.heard", "fetched", block->hash,
                       block->header.number);
@@ -270,8 +269,8 @@ void EthNode::DeliverAnnouncement(EthNode* from, const Hash32& hash,
                                   std::uint64_t number) {
   if (DropIngress(from, obs::MsgKind::kAnnouncement)) [[unlikely]] return;
   if (sink_ != nullptr)
-    sink_->OnBlockMessage(MessageSink::BlockMsgKind::kAnnouncement, hash, number,
-                          nullptr);
+    sink_->OnBlockMessage(MessageSink::BlockMsgKind::kAnnouncement, hash,
+                          number);
   if (block_tracer_ != nullptr) [[unlikely]]
     TraceBlockInstant("block.heard", "announcement", hash, number);
   MarkKnowsBlock(from, hash);

@@ -123,9 +123,6 @@ class EthNode {
   bool online() const { return online_; }
   void GoOffline();
   void GoOnline();
-  // Messages that reached this node while it was offline (also attributed in
-  // the Network drop census under reason `offline`).
-  std::uint64_t offline_drops() const { return offline_drops_; }
 
   void set_sink(MessageSink* sink) { sink_ = sink; }
   // Wires block-lifecycle tracing and per-region import/head counters.
@@ -257,7 +254,6 @@ class EthNode {
   // validation/import/flush timers cannot leak into a restarted session.
   bool online_ = true;
   std::uint32_t epoch_ = 0;
-  std::uint64_t offline_drops_ = 0;
 
   // Scratch buffers reused across relay rounds (no per-call allocations).
   std::vector<std::uint32_t> relay_order_;  // PushToSqrtPeers shuffle

@@ -24,11 +24,9 @@ class MessageSink {
     kFetched,       // block body received in response to our GetBlock
   };
 
-  // A block-related message arrived from a peer. `full` is null for
-  // announcements.
+  // A block-related message arrived from a peer.
   virtual void OnBlockMessage(BlockMsgKind kind, const Hash32& hash,
-                              std::uint64_t number,
-                              const chain::Block* full) = 0;
+                              std::uint64_t number) = 0;
 
   // A transaction arrived from a peer (inside a Transactions batch).
   virtual void OnTransactionMessage(const chain::Transaction& tx) = 0;

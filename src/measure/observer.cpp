@@ -32,8 +32,7 @@ void Observer::Attach(eth::EthNode& node) {
 // A key seen before already put its hash into the first-arrival map, so only
 // a new key probes it.
 void Observer::OnBlockMessage(BlockMsgKind kind, const Hash32& hash,
-                              std::uint64_t number, const chain::Block* full) {
-  (void)full;
+                              std::uint64_t number) {
   const TimePoint now = LocalNow();
   const auto [key, added] = block_keys_.Intern({hash, number});
   blocks_.push_back({key, kind, now.micros()});

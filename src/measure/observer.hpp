@@ -221,8 +221,8 @@ class Observer final : public eth::MessageSink {
   }
 
   // MessageSink:
-  void OnBlockMessage(BlockMsgKind kind, const Hash32& hash, std::uint64_t number,
-                      const chain::Block* full) override;
+  void OnBlockMessage(BlockMsgKind kind, const Hash32& hash,
+                      std::uint64_t number) override;
   void OnTransactionMessage(const chain::Transaction& tx) override;
   void OnBlockImported(const chain::BlockPtr& block, bool new_head) override;
 

@@ -173,6 +173,23 @@ chain::BlockPtr MiningCoordinator::AssembleBlock(std::size_t pool_index,
   return sealed;
 }
 
+void MiningCoordinator::TraceMineInstant(const char* name,
+                                         std::size_t pool_index,
+                                         const chain::Block& block,
+                                         std::uint32_t tid) {
+  obs::TraceEvent event;
+  event.name = name;
+  event.arg_kind = pools_[pool_index].name.c_str();
+  event.ts_us = sim_.Now().micros();
+  event.arg_hash = block.hash.prefix_u64();
+  event.arg_num = block.header.number;
+  event.pid = static_cast<std::uint32_t>(pool_index);
+  event.tid = tid;
+  event.cat = obs::TraceCategory::kMine;
+  event.phase = 'i';
+  mine_tracer_->Emit(event);
+}
+
 void MiningCoordinator::Release(std::size_t pool_index,
                                 const chain::BlockPtr& block) {
   PoolState& state = states_[pool_index];
@@ -199,37 +216,16 @@ void MiningCoordinator::Release(std::size_t pool_index,
       // through the public gateway.
       ++stalled_releases_;
       state.stalled_blocks.push_back(block);
-      if (mine_tracer_ != nullptr) [[unlikely]] {
-        obs::TraceEvent event;
-        event.name = "mine.release_stalled";
-        event.arg_kind = pools_[pool_index].name.c_str();
-        event.ts_us = sim_.Now().micros();
-        event.arg_hash = block->hash.prefix_u64();
-        event.arg_num = block->header.number;
-        event.pid = static_cast<std::uint32_t>(pool_index);
-        event.cat = obs::TraceCategory::kMine;
-        event.phase = 'i';
-        mine_tracer_->Emit(event);
-      }
+      if (mine_tracer_ != nullptr) [[unlikely]]
+        TraceMineInstant("mine.release_stalled", pool_index, *block);
       if (!state.mining_head ||
           block->header.number > state.mining_head->header.number)
         state.mining_head = block;
       return;
     }
   }
-  if (mine_tracer_ != nullptr) [[unlikely]] {
-    obs::TraceEvent event;
-    event.name = "mine.release";
-    event.arg_kind = pools_[pool_index].name.c_str();
-    event.ts_us = sim_.Now().micros();
-    event.arg_hash = block->hash.prefix_u64();
-    event.arg_num = block->header.number;
-    event.pid = static_cast<std::uint32_t>(pool_index);
-    event.tid = gateway->host();
-    event.cat = obs::TraceCategory::kMine;
-    event.phase = 'i';
-    mine_tracer_->Emit(event);
-  }
+  if (mine_tracer_ != nullptr) [[unlikely]]
+    TraceMineInstant("mine.release", pool_index, *block, gateway->host());
   gateway->InjectMinedBlock(block);
   // Pool-local propagation is immediate: its own workers switch as soon as
   // their own block is out (no job-update delay for self-mined blocks).
@@ -280,18 +276,8 @@ void MiningCoordinator::OnBlockFound() {
     minted_count_[winner]->Add();
     if (force_empty) empty_count_[winner]->Add();
   }
-  if (mine_tracer_ != nullptr) [[unlikely]] {
-    obs::TraceEvent event;
-    event.name = "mine.mint";
-    event.arg_kind = spec.name.c_str();
-    event.ts_us = sim_.Now().micros();
-    event.arg_hash = primary->hash.prefix_u64();
-    event.arg_num = primary->header.number;
-    event.pid = static_cast<std::uint32_t>(winner);
-    event.cat = obs::TraceCategory::kMine;
-    event.phase = 'i';
-    mine_tracer_->Emit(event);
-  }
+  if (mine_tracer_ != nullptr) [[unlikely]]
+    TraceMineInstant("mine.mint", winner, *primary);
   Release(winner, primary);
 
   // One-miner forks (§III-C5): the pool emits one (or, rarely, two) extra
@@ -329,18 +315,8 @@ void MiningCoordinator::OnBlockFound() {
       minted_.push_back(MintRecord{sibling, winner, sim_.Now(), force_empty,
                                    true, primary->hash, actually_same});
       if (fork_count_[winner] != nullptr) [[unlikely]] fork_count_[winner]->Add();
-      if (mine_tracer_ != nullptr) [[unlikely]] {
-        obs::TraceEvent event;
-        event.name = "mine.fork_sibling";
-        event.arg_kind = spec.name.c_str();
-        event.ts_us = sim_.Now().micros();
-        event.arg_hash = sibling->hash.prefix_u64();
-        event.arg_num = sibling->header.number;
-        event.pid = static_cast<std::uint32_t>(winner);
-        event.cat = obs::TraceCategory::kMine;
-        event.phase = 'i';
-        mine_tracer_->Emit(event);
-      }
+      if (mine_tracer_ != nullptr) [[unlikely]]
+        TraceMineInstant("mine.fork_sibling", winner, *sibling);
       sim_.Schedule(params_.sibling_release_delay * static_cast<double>(i + 1),
                     [this, winner, sibling] { Release(winner, sibling); });
     }

@@ -118,6 +118,11 @@ class MiningCoordinator {
                                 std::uint64_t extra_seed);
   void Release(std::size_t pool_index, const chain::BlockPtr& block);
   void OnGatewayHead(std::size_t pool_index, chain::BlockPtr head);
+  // Emits a mining instant on the pool's trace lane; `tid` names the gateway
+  // a release goes out through. Callers check mine_tracer_ != nullptr first
+  // (hot-path single-branch contract).
+  void TraceMineInstant(const char* name, std::size_t pool_index,
+                        const chain::Block& block, std::uint32_t tid = 0);
 
   sim::Simulator& sim_;
   chain::BlockArena& arena_;

@@ -143,8 +143,6 @@ class Network {
   // single source of truth for every lost message.
   void NoteOfflineDrop(obs::MsgKind kind, Region target_region);
 
-  Region region_of(HostId id) const { return hosts_[id].region; }
-
   // --- drop visibility -------------------------------------------------
   // The aggregate plus a per-(kind, source-region, reason) census. The
   // census is always on: drops are rare (off the hot path), and the paper's

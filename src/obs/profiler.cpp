@@ -53,8 +53,7 @@ void EngineProfiler::WriteJsonl(std::ostream& out) const {
         << ",\"heap_size\":" << s.engine.heap_size
         << ",\"heap_high_water\":" << s.engine.heap_high_water
         << ",\"slots_allocated\":" << s.engine.slots_allocated
-        << ",\"free_slots\":" << s.engine.free_slots
-        << ",\"live_events\":" << s.engine.live_events << "}\n";
+        << ",\"free_slots\":" << s.engine.free_slots << "}\n";
   }
   out << "{\"type\":\"callback_histogram\",\"unit\":\"log2_ns\",\"count\":"
       << callback_count_ << ",\"total_ns\":" << callback_total_ns_

@@ -23,11 +23,10 @@ namespace ethsim::obs {
 struct EngineSnapshot {
   std::int64_t sim_now_us = 0;
   std::uint64_t events_executed = 0;
-  std::size_t heap_size = 0;        // pending heap entries (incl. dead)
+  std::size_t heap_size = 0;        // pending events
   std::size_t heap_high_water = 0;  // max heap size observed this run
   std::size_t slots_allocated = 0;  // slot arena size (chunks * chunk size used)
   std::size_t free_slots = 0;       // recycled slots awaiting reuse
-  std::size_t live_events = 0;      // scheduled, not fired, not cancelled
 };
 
 class EngineProfiler {

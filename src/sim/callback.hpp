@@ -20,7 +20,8 @@ class Callback {
  public:
   // Inline storage: large enough for every hot-path capture (see header
   // comment). Raising this trades Callback footprint in the slot arena for
-  // fewer heap fallbacks; 64 puts sizeof(Callback) at 72.
+  // fewer heap fallbacks; 64 puts sizeof(Callback) at 80 (72 rounded up to
+  // the 16-byte alignment).
   static constexpr std::size_t kInlineSize = 64;
   static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
 

@@ -17,12 +17,12 @@ namespace {
 
 }  // namespace
 
-EventHandle Simulator::Schedule(Duration delay, EventFn fn) {
+void Simulator::Schedule(Duration delay, EventFn fn) {
   assert(delay.micros() >= 0);
-  return ScheduleAt(now_ + delay, std::move(fn));
+  ScheduleAt(now_ + delay, std::move(fn));
 }
 
-EventHandle Simulator::ScheduleAt(TimePoint when, EventFn fn) {
+void Simulator::ScheduleAt(TimePoint when, EventFn fn) {
   assert(when >= now_);
 
   const std::uint64_t seq = next_seq_++;
@@ -35,50 +35,18 @@ EventHandle Simulator::ScheduleAt(TimePoint when, EventFn fn) {
   } else {
     if (slot_count_ == (chunks_.size() << kChunkShift)) {
       if (slot_count_ > kLowMask) DieOnExhaustedCapacity("slot index space");
-      chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
+      chunks_.push_back(std::make_unique<EventFn[]>(kChunkSize));
     }
     index = static_cast<std::uint32_t>(slot_count_++);
   }
-  Slot& slot = SlotAt(index);
-  slot.fn = std::move(fn);
-  const std::uint64_t gen = slot.tag & kLowMask;
-  slot.tag = (seq << kLowBits) | gen;
+  SlotAt(index) = std::move(fn);
 
   heap_.push_back(HeapEntry{when.micros(), (seq << kLowBits) | index});
   SiftUp(heap_.size() - 1);
-  ++live_;
   // Queue-pressure high-water is profiler-gated so the disabled Schedule
   // path costs exactly this one predicted branch.
   if (profiler_ != nullptr && heap_.size() > heap_high_water_) [[unlikely]]
     heap_high_water_ = heap_.size();
-  return EventHandle{index, static_cast<std::uint32_t>(gen)};
-}
-
-void Simulator::Cancel(EventHandle handle) {
-  if (!handle.valid()) return;
-  if (handle.slot_ >= slot_count_) return;
-  Slot& slot = SlotAt(handle.slot_);
-  if (SeqOf(slot.tag) == 0) return;                   // slot is free: stale
-  if ((slot.tag & kLowMask) != handle.gen_) return;   // fired or cancelled
-  RetireSlot(handle.slot_);
-  --live_;
-  // The matching heap entry stays behind as a dead record; Run() drops it
-  // when it surfaces. Dead entries are bounded by the number of Cancel calls
-  // on live events, and each is reclaimed in O(log n) on pop — there is no
-  // unbounded tombstone set.
-}
-
-void Simulator::MarkRetired(Slot& slot) {
-  std::uint64_t gen = ((slot.tag & kLowMask) + 1) & kLowMask;
-  if (gen == 0) gen = 1;  // 0 is the invalid-handle sentinel
-  slot.tag = gen;         // seq part zero: free/stale
-}
-
-void Simulator::RetireSlot(std::uint32_t index) {
-  Slot& slot = SlotAt(index);
-  MarkRetired(slot);
-  slot.fn.reset();
-  free_slots_.push_back(index);
 }
 
 void Simulator::SiftUp(std::size_t i) {
@@ -120,21 +88,7 @@ std::uint64_t Simulator::Run(TimePoint until, bool bounded) {
   const std::int64_t limit = until.micros();
   while (!heap_.empty()) {
     const HeapEntry top = heap_[0];
-    const auto index = static_cast<std::uint32_t>(top.key & kLowMask);
-    Slot& slot = SlotAt(index);
-    if (SeqOf(slot.tag) != SeqOf(top.key)) {
-      // Cancelled: reclaim the dead entry regardless of its timestamp.
-      PopTop();
-      continue;
-    }
     if (bounded && top.when_us > limit) break;
-
-    // Advance the slot's generation *before* invoking so a handle to this
-    // event goes stale immediately, but run the callback in place — chunk
-    // addresses are stable, so nested Schedule calls cannot move it. The
-    // slot only joins the free list afterwards, so nothing reuses it while
-    // it runs.
-    MarkRetired(slot);
     PopTop();
     // The next event's slot is a random index into the arena; start pulling
     // its line in while we do bookkeeping and run the current callback.
@@ -145,22 +99,26 @@ std::uint64_t Simulator::Run(TimePoint until, bool bounded) {
     now_ = TimePoint::FromMicros(top.when_us);
     ++executed_;
     ++ran;
-    --live_;
+    // Run the callback in place: chunk addresses are stable, so nested
+    // Schedule calls cannot move it. The slot joins the free list only
+    // afterwards, so nothing reuses it while it runs.
+    const auto index = static_cast<std::uint32_t>(top.key & kLowMask);
+    EventFn& fn = SlotAt(index);
     if (profiler_ == nullptr) [[likely]] {
-      slot.fn();
+      fn();
     } else {
-      InvokeProfiled(slot);
+      InvokeProfiled(fn);
     }
-    slot.fn.reset();
+    fn.reset();
     free_slots_.push_back(index);
   }
   if (bounded && now_ < until) now_ = until;
   return ran;
 }
 
-void Simulator::InvokeProfiled(Slot& slot) {
+void Simulator::InvokeProfiled(EventFn& fn) {
   const auto t0 = std::chrono::steady_clock::now();
-  slot.fn();
+  fn();
   const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
                            std::chrono::steady_clock::now() - t0)
                            .count();
@@ -177,8 +135,14 @@ obs::EngineSnapshot Simulator::Snapshot() const {
   snapshot.heap_high_water = heap_high_water_;
   snapshot.slots_allocated = slot_count_;
   snapshot.free_slots = free_slots_.size();
-  snapshot.live_events = live_;
   return snapshot;
+}
+
+std::size_t Simulator::allocated_bytes() const {
+  return chunks_.size() * kChunkSize * sizeof(EventFn) +
+         chunks_.capacity() * sizeof(chunks_[0]) +
+         heap_.capacity() * sizeof(HeapEntry) +
+         free_slots_.capacity() * sizeof(std::uint32_t);
 }
 
 std::uint64_t Simulator::RunUntil(TimePoint until) { return Run(until, true); }

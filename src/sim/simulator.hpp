@@ -11,12 +11,12 @@
 //     allocation-free and cache-friendly at millions of events/second.
 //   - Callbacks live in a chunked slot arena recycled through a free list.
 //     Chunks never move, so a callback can be invoked in place (no per-event
-//     move) even when handlers schedule new events mid-run. Each slot
-//     carries a generation counter; an EventHandle is {slot, gen}. Cancel is
-//     O(1): bump the generation and drop the callback. The heap entry stays
-//     behind and is skipped when popped (its sequence no longer matches the
-//     slot's) — no tombstone set, no growth, and cancelling an
-//     already-fired or already-cancelled handle is a true no-op.
+//     move) even when handlers schedule new events mid-run. A slot returns
+//     to the free list only after its callback has returned.
+//
+// A scheduled event always fires. A component that must drop a pending
+// callback (a crashed node's session timers, say) checks its own state when
+// the callback runs, as EthNode's session epoch does.
 #pragma once
 
 #include <cstdint>
@@ -31,21 +31,6 @@ namespace ethsim::sim {
 
 using EventFn = Callback;
 
-// Handle for cancelling a scheduled event: the slot index plus the slot's
-// generation at scheduling time. Stale handles (event fired or already
-// cancelled) simply fail the generation check.
-class EventHandle {
- public:
-  EventHandle() = default;
-  bool valid() const { return gen_ != 0; }
-
- private:
-  friend class Simulator;
-  EventHandle(std::uint32_t slot, std::uint32_t gen) : slot_(slot), gen_(gen) {}
-  std::uint32_t slot_ = 0;
-  std::uint32_t gen_ = 0;
-};
-
 class Simulator {
  public:
   Simulator() = default;
@@ -55,11 +40,8 @@ class Simulator {
   TimePoint Now() const { return now_; }
 
   // Schedules fn to run `delay` from now. Delay must be non-negative.
-  EventHandle Schedule(Duration delay, EventFn fn);
-  EventHandle ScheduleAt(TimePoint when, EventFn fn);
-
-  // Cancels a pending event in O(1); no-op if it already ran or was cancelled.
-  void Cancel(EventHandle handle);
+  void Schedule(Duration delay, EventFn fn);
+  void ScheduleAt(TimePoint when, EventFn fn);
 
   // Runs events with timestamp <= until (advancing the clock), then sets the
   // clock to `until`. Returns the number of events executed.
@@ -69,8 +51,11 @@ class Simulator {
   std::uint64_t RunAll();
 
   std::uint64_t events_executed() const { return executed_; }
-  // Number of scheduled, not-yet-fired, not-cancelled events.
-  std::size_t pending() const { return live_; }
+  // Number of scheduled, not-yet-fired events.
+  std::size_t pending() const { return heap_.size(); }
+
+  // Bytes the engine holds by capacity: slot chunks, heap and free list.
+  std::size_t allocated_bytes() const;
 
   // Attaches the wall-clock engine profiler (null detaches). While attached,
   // the run loop times every callback and emits a periodic EngineSnapshot;
@@ -87,16 +72,10 @@ class Simulator {
   // the four children of a node fit in a single cache line.
   static constexpr std::size_t kArity = 4;
 
-  // Heap entries and slot tags pack two fields into one 64-bit word, shifted
-  // by kLowBits:
-  //   heap key : seq(40 bits) << 24 | slot index(24 bits)
-  //   slot tag : seq(40 bits) << 24 | generation(24 bits); seq==0 means free
-  // 2^40 sequence numbers bound a simulator instance to ~1.1e12 events and
-  // 2^24 slots bound it to ~16.7M concurrently pending events; both are
-  // checked and far beyond any study in this repo. The 24-bit generation
-  // makes a stale-handle false match require 16.7M retire cycles of one slot
-  // while the handle is held — cancel sites hold handles for one block
-  // interval, so the wrap is unreachable in practice.
+  // A heap key packs seq(40 bits) << 24 | slot index(24 bits). 2^40 sequence
+  // numbers bound a simulator instance to ~1.1e12 events and 2^24 slots bound
+  // it to ~16.7M concurrently pending events; both are checked and far
+  // beyond any study in this repo.
   static constexpr unsigned kLowBits = 24;
   static constexpr std::uint64_t kLowMask = (1ULL << kLowBits) - 1;
   static constexpr std::uint64_t kMaxSeq = (1ULL << 40) - 1;
@@ -112,13 +91,6 @@ class Simulator {
     std::uint64_t key = 0;  // seq << kLowBits | slot
   };
 
-  struct Slot {
-    EventFn fn;
-    std::uint64_t tag = 1;  // seq << kLowBits | gen; gen 0 is reserved
-  };
-
-  static std::uint64_t SeqOf(std::uint64_t packed) { return packed >> kLowBits; }
-
   static bool Before(const HeapEntry& a, const HeapEntry& b) {
     // seq is unique and occupies the high bits of `key`, so comparing the
     // packed word breaks time ties by insertion order.
@@ -126,7 +98,7 @@ class Simulator {
     return a.key < b.key;
   }
 
-  Slot& SlotAt(std::uint32_t index) {
+  EventFn& SlotAt(std::uint32_t index) {
     return chunks_[index >> kChunkShift][index & kLowChunkMask()];
   }
   static constexpr std::uint32_t kLowChunkMask() {
@@ -136,25 +108,18 @@ class Simulator {
   void SiftUp(std::size_t i);
   void SiftDown(std::size_t i);
   void PopTop();
-  // Marks an occupied slot free/stale (advances the generation, skipping the
-  // reserved value 0). The callback and free-list handoff are managed by the
-  // caller so the run loop can invoke in place before releasing the slot.
-  static void MarkRetired(Slot& slot);
-  // Full retirement for Cancel: mark, destroy the callback, recycle.
-  void RetireSlot(std::uint32_t index);
 
   std::uint64_t Run(TimePoint until, bool bounded);
   // Cold path: invoke one callback under the wall-clock profiler.
-  void InvokeProfiled(Slot& slot);
+  void InvokeProfiled(EventFn& fn);
 
   TimePoint now_;
   std::vector<HeapEntry> heap_;
-  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::vector<std::unique_ptr<EventFn[]>> chunks_;
   std::size_t slot_count_ = 0;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
-  std::size_t live_ = 0;
   // Wall-clock observability (null = off; high-water only tracked while a
   // profiler is attached so the disabled Schedule path stays one branch).
   obs::EngineProfiler* profiler_ = nullptr;

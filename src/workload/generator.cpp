@@ -215,7 +215,7 @@ void WorkloadGenerator::StartSource(std::size_t source) {
   if (NeedsTracking(src)) SchedulePoll(source);
   if (src.kind == SourceKind::kClosedLoop) {
     for (std::size_t c = 0; c < sources_[source].clients.size(); ++c)
-      ScheduleClientSubmit(source, c, /*first=*/true);
+      ScheduleClientSubmit(source, c);
   } else {
     ScheduleArrival(source);
   }
@@ -444,22 +444,20 @@ void WorkloadGenerator::ResolveInclusion(std::size_t source,
       st.clients[entry.client].in_flight = false;
       --closed_loop_in_flight_;
       ++closed_loop_completed_;
-      ScheduleClientSubmit(source, static_cast<std::size_t>(entry.client),
-                           /*first=*/false);
+      ScheduleClientSubmit(source, static_cast<std::size_t>(entry.client));
     }
   }
   if (entries.empty()) st.tracked.erase(it);
 }
 
 void WorkloadGenerator::ScheduleClientSubmit(std::size_t source,
-                                             std::size_t client, bool first) {
+                                             std::size_t client) {
   const TrafficSource& src = plan_.sources[source];
   SourceState& st = sources_[source];
   // First submissions stagger clients across one think interval; follow-ups
   // think after seeing the previous tx commit.
   const Duration think = Duration::Seconds(
       st.rng.NextExponential(src.think_time_mean.seconds()));
-  (void)first;
   sim_.Schedule(think, [this, source, client] {
     if (sources_[source].clients[client].in_flight) return;
     SubmitFromSource(source, static_cast<std::int32_t>(client));

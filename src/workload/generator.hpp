@@ -130,8 +130,7 @@ class WorkloadGenerator {
   void SchedulePoll(std::size_t source);
   void PollInclusions(std::size_t source);
   void ResolveInclusion(std::size_t source, const chain::Transaction& tx);
-  void ScheduleClientSubmit(std::size_t source, std::size_t client,
-                            bool first);
+  void ScheduleClientSubmit(std::size_t source, std::size_t client);
 
   bool NeedsTracking(const TrafficSource& src) const {
     return src.kind == SourceKind::kClosedLoop ||

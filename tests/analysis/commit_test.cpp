@@ -50,7 +50,7 @@ struct CommitFixture : ::testing::Test {
     tip = b;
     simulator.Schedule(when, [this, b] {
       observer->OnBlockMessage(eth::MessageSink::BlockMsgKind::kFullBlock,
-                               b->hash, b->header.number, b);
+                               b->hash, b->header.number);
     });
     return b;
   }
@@ -137,7 +137,7 @@ TEST_F(CommitFixture, CanonicalBlockFirstSeenUsesEarliestVantage) {
   // Second observer sees it earlier (e.g. closer to the miner).
   simulator.Schedule(9_s, [&obs2, b1] {
     obs2->OnBlockMessage(eth::MessageSink::BlockMsgKind::kFullBlock, b1->hash,
-                         b1->header.number, b1);
+                         b1->header.number);
   });
   simulator.RunAll();
 

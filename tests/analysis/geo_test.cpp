@@ -23,8 +23,7 @@ struct GeoFixture : ::testing::Test {
 
   void BlockAt(measure::Observer* obs, Duration when, const Hash32& hash) {
     simulator.Schedule(when, [obs, hash] {
-      obs->OnBlockMessage(eth::MessageSink::BlockMsgKind::kFullBlock, hash, 1,
-                          nullptr);
+      obs->OnBlockMessage(eth::MessageSink::BlockMsgKind::kFullBlock, hash, 1);
     });
   }
 

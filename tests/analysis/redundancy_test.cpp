@@ -19,7 +19,7 @@ struct RedundancyFixture : ::testing::Test {
     Hash32 h;
     h.bytes[0] = block_tag;
     simulator.Schedule(when,
-                       [this, h, kind] { observer.OnBlockMessage(kind, h, 1, nullptr); });
+                       [this, h, kind] { observer.OnBlockMessage(kind, h, 1); });
   }
 
   sim::Simulator simulator;

@@ -70,7 +70,7 @@ struct ResilienceFixture : ::testing::Test {
                std::uint64_t number) {
     simulator.Schedule(when, [obs, hash, number] {
       obs->OnBlockMessage(eth::MessageSink::BlockMsgKind::kFullBlock, hash,
-                          number, nullptr);
+                          number);
     });
   }
 

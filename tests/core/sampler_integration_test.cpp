@@ -76,10 +76,11 @@ TEST(StateSamplerIntegration, RecordsConfiguredCadenceWithBaselineRow) {
 
   // The fleet-level probe set: present, and actually measuring something.
   for (const char* name :
-       {"sim.queue.pending", "sim.arena.slots", "net.inflight.msgs",
-        "net.inflight.bytes", "txpool.pending.sum", "txpool.heads.sum",
-        "chain.blocks.max", "chain.tree.bytes.sum", "chain.dag.bytes",
-        "chain.txpool.bytes.sum", "chain.txstore.bytes", "eth.peers.sum", "eth.known.sum", "eth.known.bytes.sum",
+       {"sim.queue.pending", "sim.arena.slots", "sim.arena.bytes",
+        "net.inflight.msgs", "net.inflight.bytes", "txpool.pending.sum",
+        "txpool.heads.sum", "chain.blocks.max", "chain.tree.bytes.sum",
+        "chain.dag.bytes", "chain.txpool.bytes.sum", "chain.txstore.bytes",
+        "eth.peers.sum", "eth.known.sum", "eth.known.bytes.sum",
         "measure.records.bytes", "miner.blocks_found",
         "miner.gateways.online"})
     EXPECT_NE(log.Find(name), obs::TimeSeriesLog::npos) << name;
@@ -93,6 +94,8 @@ TEST(StateSamplerIntegration, RecordsConfiguredCadenceWithBaselineRow) {
   EXPECT_EQ(static_cast<std::size_t>(log.values[blocks].back()),
             exp.minted().size());
 
+  // The engine's slot chunks are never freed, so its bytes stay positive.
+  EXPECT_GT(log.values[log.Find("sim.arena.bytes")].back(), 0);
   // The chain byte probes measure the views and the DAG they share.
   EXPECT_GT(log.values[log.Find("chain.tree.bytes.sum")].back(), 0);
   EXPECT_GT(log.values[log.Find("chain.dag.bytes")].back(), 0);

@@ -295,8 +295,8 @@ struct CountingSink : MessageSink {
   int imported = 0;
   int txs = 0;
 
-  void OnBlockMessage(BlockMsgKind kind, const Hash32&, std::uint64_t,
-                      const chain::Block*) override {
+  void OnBlockMessage(BlockMsgKind kind, const Hash32&,
+                      std::uint64_t) override {
     switch (kind) {
       case BlockMsgKind::kFullBlock: ++full_blocks; break;
       case BlockMsgKind::kAnnouncement: ++announcements; break;
@@ -498,7 +498,6 @@ TEST(EthNodeFaults, OfflineNodeDropsIngressAndCensusesIt) {
   c.nodes[1]->DeliverNewBlock(c.nodes[0].get(), b1);  // in-flight straggler
   c.simulator.RunUntil(TimePoint::FromMicros(Duration::Seconds(5).micros()));
   EXPECT_FALSE(c.nodes[1]->tree().Contains(b1->hash));
-  EXPECT_EQ(c.nodes[1]->offline_drops(), 1u);
   EXPECT_EQ(c.net->dropped_by(net::DropReason::kOffline), 1u);
 
   // Offline local actions are no-ops too.
